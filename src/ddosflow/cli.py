@@ -262,7 +262,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     keep = ~np.isnan(X).any(axis=1)
     n_dropped = int((~keep).sum())
     X = X[keep]
-    kept_rows = [r for r, k in zip(row_numbers, keep) if k]
+    kept_rows = np.asarray(row_numbers)[keep].tolist()
     if X.shape[0] == 0:
         raise DataError(f"{args.data}: no scorable rows")
     inf_mask = np.isinf(X)
@@ -278,8 +278,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "probability", "label"])
-            for r, p, c in zip(kept_rows, proba, pred):
-                writer.writerow([r, repr(float(p)), attack if c else benign])
+            # csv writes a float with repr, which round-trips it exactly
+            writer.writerows(
+                (r, p, attack if c else benign)
+                for r, p, c in zip(kept_rows, proba.tolist(), pred.tolist())
+            )
     flagged = int(pred.sum())
     note = f", dropped {n_dropped} rows with unparseable cells" if n_dropped else ""
     print(f"scored {X.shape[0]} rows, {flagged} flagged as {attack}{note}")

@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from ddosflow import flow_data
 from ddosflow.errors import DataError
 from ddosflow.flow_data import (
     FlowDataset,
@@ -130,6 +132,251 @@ def test_load_feature_matrix_missing_columns_listed(tmp_path):
     path = _write(tmp_path, "a,Label\n1,BENIGN\n")
     with pytest.raises(DataError, match=r"missing feature columns: b, c"):
         load_feature_matrix(path, ("a", "b", "c"))
+
+
+def test_all_infinity_and_all_nan_columns_kept_all_empty_dropped(tmp_path):
+    path = _write(
+        tmp_path,
+        "r,q,e,Label\nInfinity,nan,,BENIGN\n-inf,NaN, ,DDoS\n",
+    )
+    ds, dropped = load_flow_csv(path)
+    assert ds.feature_names == ("r", "q") and dropped == ["e"]
+    assert ds.features[:, 0].tolist() == [math.inf, -math.inf]
+    assert np.isnan(ds.features[:, 1]).all()
+
+
+def test_cells_float_reads_but_the_c_parser_does_not(tmp_path):
+    # float() takes digit grouping and non-ASCII digits; NumPy's parser does not
+    path = _write(tmp_path, "a,b,Label\n1_000,１２,BENIGN\n2, 3 ,DDoS\n")
+    ds, dropped = load_flow_csv(path)
+    assert dropped == []
+    assert ds.features.tolist() == [[1000.0, 12.0], [2.0, 3.0]]
+
+
+def test_ragged_row_after_blank_lines_names_its_row(tmp_path):
+    path = _write(tmp_path, "a,Label\n1,BENIGN\n\n,\n2,3,DDoS\n")
+    with pytest.raises(DataError, match=r"row 4 has 3 fields, expected 2"):
+        load_flow_csv(path)
+    with pytest.raises(DataError, match=r"row 4 has 3 fields, expected 2"):
+        load_feature_matrix(path, ("a",))
+
+
+def test_unknown_label_after_blank_lines_names_its_row(tmp_path):
+    path = _write(tmp_path, "a,Label\n1,BENIGN\n\n \n2,PortScan\n")
+    with pytest.raises(DataError, match=r"row 4: unknown label token 'PortScan'"):
+        load_flow_csv(path)
+
+
+def test_load_feature_matrix_row_numbers_have_gaps(tmp_path):
+    path = _write(tmp_path, "a,Label\n1,BENIGN\n\n,\n2,DDoS\n\n3,DDoS\n")
+    X, rows = load_feature_matrix(path, ("a",))
+    assert rows == [1, 4, 6]
+    assert X[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_file_larger_than_one_block_matches_reference(tmp_path):
+    # about 2.5 blocks of text, with bad cells and blank lines in every
+    # block and a quoted field in the first
+    rng = np.random.Generator(np.random.PCG64(4))
+    lines = ["Src IP,x,rate,Label"]
+    size = 0
+    for i in range(10**6):
+        if size > 2.5 * flow_data._BLOCK_CHARS:
+            break
+        v = float(rng.normal())
+        rate = {0: "Infinity", 1: "", 2: "n/a"}.get(i % 97, '"7"' if i == 3 else repr(v))
+        lines.append(f"10.0.{i % 256}.1,{v!r},{rate},{'DDoS' if i % 5 else 'BENIGN'}")
+        if i % 1009 == 0:
+            lines.append(",,,")
+        size += len(lines[-1])
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    assert _same_outcome(load_flow_csv, _reference_load_flow_csv, path)
+    assert _same_outcome(
+        load_feature_matrix, _reference_load_feature_matrix, path, ("rate", "x")
+    )
+
+
+# The loaders as they were before block-wise reading: csv.reader plus
+# _reference_parse_cell on every cell. The block reader must match them bit
+# for bit, error messages included.
+
+def _reference_parse_cell(cell):
+    s = cell.strip()
+    if not s:
+        return math.nan, False
+    try:
+        return float(s), True
+    except ValueError:
+        return math.nan, False
+
+
+def _reference_load_flow_csv(path, label_column="Label", benign_token="BENIGN", attack_token="DDoS"):
+    benign = benign_token.strip().casefold()
+    attack = attack_token.strip().casefold()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        names = [h.strip() for h in header]
+        if label_column not in names:
+            raise DataError(f"{path}: label column {label_column!r} not found in header")
+        label_idx = names.index(label_column)
+        col_names = [n for i, n in enumerate(names) if i != label_idx]
+        rows, labels = [], []
+        evidence = [0] * len(col_names)
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{path}: row {row_no} has {len(row)} fields, expected {len(names)}"
+                )
+            token = row[label_idx].strip().casefold()
+            if token == benign:
+                labels.append(0)
+            elif token == attack:
+                labels.append(1)
+            else:
+                raise DataError(
+                    f"{path}: row {row_no}: unknown label token {row[label_idx].strip()!r}"
+                )
+            values = []
+            j = 0
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                value, ok = _reference_parse_cell(cell)
+                values.append(value)
+                if ok:
+                    evidence[j] += 1
+                j += 1
+            rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    keep = [j for j, count in enumerate(evidence) if count > 0]
+    dropped = [col_names[j] for j in range(len(col_names)) if j not in set(keep)]
+    if not keep:
+        raise DataError(f"{path}: no numeric feature columns found")
+    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(col_names))
+    matrix = np.ascontiguousarray(matrix[:, keep])
+    dataset = FlowDataset(
+        tuple(col_names[j] for j in keep), matrix, np.asarray(labels, dtype=np.int64)
+    )
+    return dataset, dropped
+
+
+def _reference_load_feature_matrix(path, feature_names):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        names = [h.strip() for h in header]
+        missing = [n for n in feature_names if n not in names]
+        if missing:
+            raise DataError(f"{path}: missing feature columns: {', '.join(sorted(missing))}")
+        take = [names.index(n) for n in feature_names]
+        rows, row_numbers = [], []
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{path}: row {row_no} has {len(row)} fields, expected {len(names)}"
+                )
+            rows.append([_reference_parse_cell(row[i])[0] for i in take])
+            row_numbers.append(row_no)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(take)), row_numbers
+
+
+def _outcome(load, *args):
+    """What a loader returns, with float arrays as their bit patterns, or
+    the type and message of the error it raises."""
+    try:
+        result = load(*args)
+    except (DataError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result[0], FlowDataset):
+        ds, dropped = result
+        assert ds.features.flags.c_contiguous
+        return (
+            ds.feature_names, ds.features.shape, ds.features.view(np.int64).tolist(),
+            ds.labels.dtype, ds.labels.tolist(), dropped,
+        )
+    X, rows = result
+    return X.dtype, X.shape, X.view(np.int64).tolist(), rows
+
+
+def _same_outcome(load, reference, *args):
+    return _outcome(load, *args) == _outcome(reference, *args)
+
+
+def test_block_reader_matches_reference(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cells = st.one_of(
+        st.floats(width=64).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6g" % v),
+        st.integers(-(10**20), 10**20).map(str),
+        # long mantissas and exponents, where a parser that rounds differently shows
+        st.from_regex(r"\A[+-]?[0-9]{1,40}(\.[0-9]{0,40})?([eE][+-]?[0-9]{1,3})?\Z"),
+        st.sampled_from([
+            "Infinity", "-inf", "+Infinity", "nan", "NaN", "-nan", "1_000",
+            "\uff11\uff12", " 12 ", "\t3.5", " 4 ", "", "   ", "n/a", "10.0.0.1",
+            "1.2", "1-2", "-", ".", "e5", "1e", "--1", "1e400", "0x10", "\u3000",
+            "caf\u00e9", '"1,5"', '"a""b"', '"2\n3"', '"4\r\n"', '"7"', 'x"y',
+        ]),
+    )
+    labels = st.sampled_from(["BENIGN", "DDoS", " benign ", "ddos\t", "PortScan"])
+    blank_lines = st.sampled_from(["", ",", " , ", "\t", "\u3000,"])
+
+    @st.composite
+    def flow_files(draw):
+        n_cols = draw(st.integers(1, 4))
+        label_at = draw(st.integers(0, n_cols))
+        header = [f" c{j} " for j in range(n_cols)]
+        header.insert(label_at, "Label")
+        lines = [",".join(header)]
+        for _ in range(draw(st.integers(0, 12))):
+            if draw(st.integers(0, 9)) == 0:
+                lines.append(draw(blank_lines))
+                continue
+            row = draw(st.lists(cells, min_size=n_cols, max_size=n_cols))
+            row.insert(label_at, draw(labels) if draw(st.integers(0, 19)) else "Label")
+            if draw(st.integers(0, 29)) == 0:
+                row.pop() if draw(st.booleans()) else row.append("1")  # ragged
+            lines.append(",".join(row))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+        return ("\ufeff" if draw(st.booleans()) else "") + text, n_cols
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        file=flow_files(), block_chars=st.integers(1, 200), benign_only=st.booleans()
+    )
+    def check(file, block_chars, benign_only):
+        text, n_cols = file
+        path = str(tmp_path_factory.mktemp("flows") / "flows.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        tokens = ("BENIGN", "PortScan") if benign_only else ("BENIGN", "DDoS")
+        names = tuple(f"c{j}" for j in reversed(range(n_cols)))
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of a few lines, so records and quoted fields cross block edges
+            mp.setattr(flow_data, "_BLOCK_CHARS", block_chars)
+            assert _same_outcome(
+                load_flow_csv, _reference_load_flow_csv, path, "Label", *tokens
+            )
+            assert _same_outcome(
+                load_feature_matrix, _reference_load_feature_matrix, path, names
+            )
+
+    check()
 
 
 # ---------------------------------------------------------------- cleaning
