@@ -41,6 +41,7 @@ from .metrics import build_report, format_report_kv, format_report_table
 from .nn import (
     ArchitectureConfig,
     LossSpec,
+    ModelParams,
     gradient_check,
     init_model,
     load_model,
@@ -91,23 +92,34 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _embedded_scaler(extra: dict) -> tuple[ScalerParams, tuple[str, ...], float]:
-    """Pull scaler, feature names, and threshold out of a model manifest."""
-    try:
-        names = tuple(extra["feature_names"])
-        scaler = ScalerParams(
-            means=np.asarray(extra["scaler_means"], dtype=np.float64),
-            stds=np.asarray(extra["scaler_stds"], dtype=np.float64),
-            fitted_on=int(extra["scaler_fitted_on"]),
-        )
-        threshold = float(extra["threshold"])
-    except KeyError as exc:
-        raise DataError(f"model file lacks manifest entry {exc}") from exc
-    return scaler, names, threshold
+def _scoring_model(
+    args: argparse.Namespace,
+) -> tuple[ModelParams, dict, ScalerParams, tuple[str, ...], float]:
+    """Load ``--model`` and its manifest's scaler, feature names and threshold
+    (``--threshold`` overrides the last)."""
+    with _stage("load-model"):
+        model, extra = load_model(args.model)
+        try:
+            names = tuple(extra["feature_names"])
+            scaler = ScalerParams(
+                means=np.asarray(extra["scaler_means"], dtype=np.float64),
+                stds=np.asarray(extra["scaler_stds"], dtype=np.float64),
+                fitted_on=int(extra["scaler_fitted_on"]),
+            )
+            threshold = float(extra["threshold"])
+        except KeyError as exc:
+            raise DataError(f"model file lacks manifest entry {exc}") from exc
+    if args.threshold is not None:
+        if not 0.0 < args.threshold < 1.0:
+            raise ConfigError("threshold must lie in (0, 1)")
+        threshold = args.threshold
+    return model, extra, scaler, names, threshold
 
 
 def _align_features(ds: FlowDataset, names: tuple[str, ...]) -> FlowDataset:
     """Reorder dataset columns to the model's feature order; strict set match."""
+    if ds.feature_names == names:
+        return ds
     present = set(ds.feature_names)
     required = set(names)
     missing = sorted(required - present)
@@ -210,14 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with _stage("load-model"):
-        model, extra = load_model(args.model)
-        scaler, names, threshold = _embedded_scaler(extra)
-    if args.threshold is not None:
-        if not 0.0 < args.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        threshold = args.threshold
-
+    model, extra, scaler, names, threshold = _scoring_model(args)
     with _stage("load"):
         raw, _ = load_flow_csv(
             args.data,
@@ -244,13 +249,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    with _stage("load-model"):
-        model, extra = load_model(args.model)
-        scaler, names, threshold = _embedded_scaler(extra)
-    if args.threshold is not None:
-        if not 0.0 < args.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        threshold = args.threshold
+    model, extra, scaler, names, threshold = _scoring_model(args)
     benign = extra.get("benign_token", "BENIGN")
     attack = extra.get("attack_token", "DDoS")
 

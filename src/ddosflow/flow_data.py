@@ -502,8 +502,8 @@ def clean(ds: FlowDataset) -> FlowDataset:
             to average (the column is named).
     """
     keep = ~np.isnan(ds.features).any(axis=1)
-    features = ds.features[keep].copy()
-    labels = ds.labels[keep].copy()
+    features = ds.features[keep]  # boolean indexing copies
+    labels = ds.labels[keep]
     if features.shape[0] == 0:
         raise DataError("empty dataset after cleaning")
 

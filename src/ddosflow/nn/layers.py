@@ -73,6 +73,8 @@ class ResidualBlockParams:
 
     ``projection`` is present exactly when the block's input and output
     widths differ; it is the width-matching affine map on the skip path.
+    ``attention``, when present, is the attention layer the model applies
+    to the block's output; :func:`residual_block_forward` does not apply it.
     """
 
     affine1: AffineParams
@@ -80,6 +82,7 @@ class ResidualBlockParams:
     affine2: AffineParams
     bn2: BatchNormParams
     projection: AffineParams | None = None
+    attention: AttentionParams | None = None
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -251,7 +254,8 @@ def residual_block_forward(
 def residual_block_backward(
     p: ResidualBlockParams, cache: dict, dout: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns ``(dx, grads)`` with grads keyed affine1.W, bn1.gamma, ..."""
+    """Returns ``(dx, grads)`` with grads keyed affine1.W, affine1.b, ...
+    in the order of the block's fields."""
     dpre = relu_backward(cache["pre"], dout)
     dn2, dg2, db2 = batchnorm_backward(p.bn2, cache["bn2"], dpre)
     dr1, dW2, dbias2 = affine_backward(p.affine2, cache["r1"], dn2)

@@ -102,6 +102,20 @@ def dice_loss(
     return loss, dlogits
 
 
+def _base_loss(
+    logits: np.ndarray, y: np.ndarray, base: str, eps_dice: float
+) -> tuple[float, np.ndarray]:
+    """BCE (its probability gradient chained through the sigmoid) or Dice,
+    with the gradient with respect to the logits."""
+    if base == "bce":
+        p = sigmoid(logits)
+        loss, dldp = bce_loss(p, y)
+        return loss, dldp * p * (1.0 - p)
+    if base == "dice":
+        return dice_loss(logits, y, eps_dice)
+    raise ValueError(f"unknown base loss {base!r}")
+
+
 def anchored_loss(
     logits: np.ndarray,
     y: np.ndarray,
@@ -127,15 +141,7 @@ def anchored_loss(
     if lambda_anchor < 0:
         raise ValueError("lambda_anchor must be non-negative")
 
-    if base == "bce":
-        p = sigmoid(logits)
-        base_value, dbase_dp = bce_loss(p, y)
-        dbase = dbase_dp * p * (1.0 - p)
-    elif base == "dice":
-        base_value, dbase = dice_loss(logits, y, eps_dice)
-    else:
-        raise ValueError(f"unknown base loss {base!r}")
-
+    base_value, dbase = _base_loss(logits, y, base, eps_dice)
     if lambda_anchor == 0.0:
         return base_value, dbase
 
@@ -154,19 +160,13 @@ def apply_loss(
 ) -> tuple[float, np.ndarray]:
     """Evaluate the objective named by ``spec`` on a batch of logits.
 
-    Returns ``(loss, dloss_dlogits)``. For "bce" the probability-space
-    gradient is chained through the sigmoid here.
+    Returns ``(loss, dloss_dlogits)``; BCE's probability-space gradient
+    is chained through the sigmoid.
     """
-    if spec.kind == "bce":
-        p = sigmoid(logits)
-        loss, dldp = bce_loss(p, y)
-        return loss, dldp * p * (1.0 - p)
-    if spec.kind == "dice":
-        return dice_loss(logits, y, spec.eps_dice)
-    if spec.kind == "anchored":
-        if anchors is None:
-            raise ValueError("anchored loss requires an anchor vector")
-        return anchored_loss(
-            logits, y, anchors, spec.lambda_anchor, spec.base, spec.eps_dice
-        )
-    raise ValueError(f"unknown loss kind {spec.kind!r}")
+    if spec.kind != "anchored":
+        return _base_loss(logits, y, spec.kind, spec.eps_dice)
+    if anchors is None:
+        raise ValueError("anchored loss requires an anchor vector")
+    return anchored_loss(
+        logits, y, anchors, spec.lambda_anchor, spec.base, spec.eps_dice
+    )

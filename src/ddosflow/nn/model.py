@@ -1,11 +1,14 @@
-"""Model assembly: an input affine map, a stack of residual blocks with
-optional per-block feature attention, and a single-logit output head.
+"""Model assembly: an input affine map, a stack of residual blocks, each
+optionally followed by its own feature attention layer, and a single-logit
+output head.
 
-Parameters live in plain dataclasses of float64 arrays. Everything that
-needs to walk the parameter tree (the optimizer, the gradient checker,
-persistence) goes through :func:`named_parameters` / :func:`named_state`,
-which yield (dotted-name, array) pairs in a fixed order; the arrays are
-the live objects, so in-place updates through them update the model.
+Parameters live in plain dataclasses of float64 arrays; a block's
+attention layer lives in the block. Everything that needs to walk the
+parameter tree (the optimizer, the gradient checker, persistence) goes
+through :func:`named_parameters` / :func:`named_state`, which walk the
+dataclass fields depth first and yield (dotted-name, array) pairs in that
+fixed order; the arrays are the live objects, so in-place updates through
+them update the model.
 """
 
 from __future__ import annotations
@@ -69,21 +72,25 @@ class ArchitectureConfig:
 class ModelParams:
     """Ordered parameter blocks defining the network.
 
-    ``attentions`` is aligned with ``blocks``; entries are None where no
-    attention layer follows that block. The default wiring has exactly
-    one attention layer, after the final block, exposed as ``attention``.
+    Each block carries the attention layer that follows it
+    (``blocks[i].attention``, None where there is none). ``attentions``
+    lists them aligned with ``blocks``. The default wiring has exactly one
+    attention layer, after the final block, exposed as ``attention``.
     """
 
     input_affine: AffineParams
     blocks: list[ResidualBlockParams]
-    attentions: list[AttentionParams | None]
     output_affine: AffineParams
     n_features: int
     arch: ArchitectureConfig = field(repr=False)
 
     @property
+    def attentions(self) -> list[AttentionParams | None]:
+        return [block.attention for block in self.blocks]
+
+    @property
     def attention(self) -> AttentionParams | None:
-        return self.attentions[-1]
+        return self.blocks[-1].attention
 
 
 def _zeros_affine(n_out: int, n_in: int) -> AffineParams:
@@ -104,10 +111,14 @@ def _zeros_bn(width: int, arch: ArchitectureConfig) -> BatchNormParams:
 def _alloc_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
     """Build the parameter structure with zero weights and identity norms."""
     blocks: list[ResidualBlockParams] = []
-    attentions: list[AttentionParams | None] = []
     in_width = arch.input_width
     for i, out_width in enumerate(arch.block_widths):
         projection = _zeros_affine(out_width, in_width) if in_width != out_width else None
+        attention = None
+        if arch.attention_after_each or i == len(arch.block_widths) - 1:
+            attention = AttentionParams(
+                W_a=np.zeros((out_width, out_width)), b_a=np.zeros(out_width)
+            )
         blocks.append(
             ResidualBlockParams(
                 affine1=_zeros_affine(out_width, in_width),
@@ -115,20 +126,13 @@ def _alloc_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
                 affine2=_zeros_affine(out_width, out_width),
                 bn2=_zeros_bn(out_width, arch),
                 projection=projection,
+                attention=attention,
             )
         )
-        last = i == len(arch.block_widths) - 1
-        if arch.attention_after_each or last:
-            attentions.append(
-                AttentionParams(W_a=np.zeros((out_width, out_width)), b_a=np.zeros(out_width))
-            )
-        else:
-            attentions.append(None)
         in_width = out_width
     return ModelParams(
         input_affine=_zeros_affine(arch.input_width, n_features),
         blocks=blocks,
-        attentions=attentions,
         output_affine=_zeros_affine(1, in_width),
         n_features=n_features,
         arch=arch,
@@ -153,52 +157,36 @@ def init_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
     return model
 
 
+# batch-norm running statistics: state, not trained
+_STATE_SUFFIXES = (".running_mean", ".running_var")
+
+
+def _walk(
+    node: object, prefix: str, out: list[tuple[str, np.ndarray]]
+) -> list[tuple[str, np.ndarray]]:
+    """Append (dotted name, array) for every array under ``node`` to
+    ``out``, depth first in dataclass field and list order."""
+    if isinstance(node, np.ndarray):
+        out.append((prefix[:-1], node))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            _walk(item, f"{prefix}{i}.", out)
+    else:
+        for name in getattr(node, "__dataclass_fields__", ()):
+            _walk(getattr(node, name), f"{prefix}{name}.", out)
+    return out
+
+
 def named_parameters(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Trainable tensors as (dotted name, live array) pairs, fixed order."""
-    pairs: list[tuple[str, np.ndarray]] = [
-        ("input_affine.W", model.input_affine.W),
-        ("input_affine.b", model.input_affine.b),
-    ]
-    for i, (block, attn) in enumerate(zip(model.blocks, model.attentions)):
-        prefix = f"blocks.{i}."
-        pairs += [
-            (prefix + "affine1.W", block.affine1.W),
-            (prefix + "affine1.b", block.affine1.b),
-            (prefix + "bn1.gamma", block.bn1.gamma),
-            (prefix + "bn1.beta", block.bn1.beta),
-            (prefix + "affine2.W", block.affine2.W),
-            (prefix + "affine2.b", block.affine2.b),
-            (prefix + "bn2.gamma", block.bn2.gamma),
-            (prefix + "bn2.beta", block.bn2.beta),
-        ]
-        if block.projection is not None:
-            pairs += [
-                (prefix + "projection.W", block.projection.W),
-                (prefix + "projection.b", block.projection.b),
-            ]
-        if attn is not None:
-            pairs += [
-                (prefix + "attention.W_a", attn.W_a),
-                (prefix + "attention.b_a", attn.b_a),
-            ]
-    pairs += [
-        ("output_affine.W", model.output_affine.W),
-        ("output_affine.b", model.output_affine.b),
-    ]
-    return pairs
+    pairs = _walk(model, "", [])
+    return [(n, t) for n, t in pairs if not n.endswith(_STATE_SUFFIXES)]
 
 
 def named_state(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Non-trainable state (batch-norm running statistics), fixed order."""
-    pairs: list[tuple[str, np.ndarray]] = []
-    for i, block in enumerate(model.blocks):
-        for bn_name, bn in (("bn1", block.bn1), ("bn2", block.bn2)):
-            prefix = f"blocks.{i}.{bn_name}."
-            pairs += [
-                (prefix + "running_mean", bn.running_mean),
-                (prefix + "running_var", bn.running_var),
-            ]
-    return pairs
+    pairs = _walk(model, "", [])
+    return [(n, t) for n, t in pairs if n.endswith(_STATE_SUFFIXES)]
 
 
 def model_forward(
@@ -207,79 +195,60 @@ def model_forward(
     mode: str = "infer",
     update_running: bool = True,
     want_cache: bool = False,
-) -> tuple[np.ndarray, list | None]:
+) -> tuple[np.ndarray, tuple | None]:
     """Run the network, returning one logit per row.
 
     Returns ``(logits, cache)``; the cache (None unless requested) feeds
-    :func:`model_backward`. Forward is deterministic: the same parameters
-    and batch give bitwise-identical logits.
+    :func:`model_backward` and is shaped like the model:
+    ``(X, [(block_cache, attention_cache or None), ...], h_last)``.
+    Forward is deterministic: the same parameters and batch give
+    bitwise-identical logits.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"expected input of width {model.n_features}, got shape {X.shape}"
         )
-    cache: list = [] if want_cache else None
+    steps = []
     h = affine_forward(model.input_affine, X)
-    if want_cache:
-        cache.append(("input_affine", X))
-    for block, attn in zip(model.blocks, model.attentions):
+    for block in model.blocks:
         h, block_cache = residual_block_forward(block, h, mode, update_running)
+        attn_cache = None
+        if block.attention is not None:
+            h, attn_cache = attention_forward(block.attention, h)
         if want_cache:
-            cache.append(("block", block_cache))
-        if attn is not None:
-            h, attn_cache = attention_forward(attn, h)
-            if want_cache:
-                cache.append(("attention", attn_cache))
+            steps.append((block_cache, attn_cache))
     logits = affine_forward(model.output_affine, h)[:, 0]
-    if want_cache:
-        cache.append(("output_affine", h))
-    return logits, cache
+    return logits, ((X, steps, h) if want_cache else None)
 
 
 def model_backward(
-    model: ModelParams, cache: list, dlogits: np.ndarray
+    model: ModelParams, cache: tuple, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Reverse-mode gradients for every trainable tensor.
 
     ``cache`` must come from a :func:`model_forward` call with
     ``want_cache=True`` on the same batch. Returns a dict keyed exactly
-    like :func:`named_parameters`.
+    like :func:`named_parameters`, in its order: each layer's gradients
+    come in the order of its fields.
     """
     if cache is None:
         raise ValueError("model_backward requires the forward cache")
-    grads: dict[str, np.ndarray] = {}
-
-    kind, h_last = cache[-1]
-    assert kind == "output_affine"
-    dout_mat = dlogits.reshape(-1, 1)
-    dh, dW, db = affine_backward(model.output_affine, h_last, dout_mat)
-    grads["output_affine.W"] = dW
-    grads["output_affine.b"] = db
-
-    pos = len(cache) - 2
-    for i in range(len(model.blocks) - 1, -1, -1):
-        attn = model.attentions[i]
-        if attn is not None:
-            kind, attn_cache = cache[pos]
-            assert kind == "attention"
-            pos -= 1
-            dh, dW_a, db_a = attention_backward(attn, attn_cache, dh)
-            grads[f"blocks.{i}.attention.W_a"] = dW_a
-            grads[f"blocks.{i}.attention.b_a"] = db_a
-        kind, block_cache = cache[pos]
-        assert kind == "block"
-        pos -= 1
-        dh, block_grads = residual_block_backward(model.blocks[i], block_cache, dh)
-        for local_name, g in block_grads.items():
-            grads[f"blocks.{i}.{local_name}"] = g
-
-    kind, X = cache[pos]
-    assert kind == "input_affine"
-    _, dW, db = affine_backward(model.input_affine, X, dh)
-    grads["input_affine.W"] = dW
-    grads["input_affine.b"] = db
-    return grads
+    X, steps, h_last = cache
+    dh, *output_grads = affine_backward(
+        model.output_affine, h_last, dlogits.reshape(-1, 1)
+    )
+    block_grads: list[np.ndarray] = []
+    for block, (block_cache, attn_cache) in zip(model.blocks[::-1], steps[::-1]):
+        attn_grads = []
+        if block.attention is not None:
+            dh, *attn_grads = attention_backward(block.attention, attn_cache, dh)
+        dh, grads = residual_block_backward(block, block_cache, dh)
+        # prepended: blocks are visited last to first
+        block_grads[:0] = [*grads.values(), *attn_grads]
+    _, *input_grads = affine_backward(model.input_affine, X, dh)
+    names = [name for name, _ in named_parameters(model)]
+    return dict(zip(names, input_grads + block_grads + output_grads, strict=True))
 
 
 def model_loss(

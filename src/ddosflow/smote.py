@@ -12,7 +12,6 @@ neighbor distances are not dominated by large-magnitude columns.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "minority_neighbors",
     "synthesize",
     "oversample",
-    "write_audit_csv",
 ]
 
 
@@ -134,7 +132,7 @@ def oversample(
 
     Returns:
         ``(balanced_dataset, records)`` where ``records`` describes each
-        appended row for auditing (see :func:`write_audit_csv`).
+        appended row (parent, neighbor, interpolation factor).
 
     Raises:
         DataError: one of the classes is absent.
@@ -179,12 +177,3 @@ def oversample(
         [ds.labels, np.full(n_new, minority_label, dtype=np.int64)]
     )
     return FlowDataset(ds.feature_names, features, labels), records
-
-
-def write_audit_csv(records: list[SyntheticSample], path: str) -> None:
-    """Write per-synthetic-row provenance (parent, neighbor, lambda) as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent_index", "neighbor_index", "lambda_interp"])
-        for r in records:
-            writer.writerow([r.parent_index, r.neighbor_index, repr(r.lambda_interp)])

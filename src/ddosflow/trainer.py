@@ -136,17 +136,25 @@ def _epoch_accuracy(
 
 def _run_epochs(
     model: ModelParams,
-    X: np.ndarray,
-    y: np.ndarray,
+    dataset: FlowDataset,
     spec: LossSpec,
     cfg: TrainConfig,
     epochs: int,
     phase: int,
-    opt: OptimizerState,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
+    opt: OptimizerState | None,
     anchors: np.ndarray | None = None,
-) -> list[EpochRecord]:
-    n = X.shape[0]
+) -> tuple[ModelParams, TrainReport]:
+    """Mini-batch Adagrad on ``dataset`` for one phase, updating ``model``
+    in place; without a caller's rng/opt, a fresh stream and accumulator."""
+    if dataset.n_rows == 0:
+        raise DataError("cannot train on an empty dataset")
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    if opt is None:
+        opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
+    t0 = time.perf_counter()
+    X, y, n = dataset.features, dataset.labels, dataset.n_rows
     params = dict(named_parameters(model))
     records: list[EpochRecord] = []
     for epoch in range(1, epochs + 1):
@@ -168,7 +176,7 @@ def _run_epochs(
                 accuracy=_epoch_accuracy(model, X, y, cfg.threshold),
             )
         )
-    return records
+    return model, TrainReport(tuple(records), time.perf_counter() - t0)
 
 
 def train_phase1(
@@ -183,26 +191,8 @@ def train_phase1(
     The model is updated in place and also returned. Passing rng/opt
     lets a caller keep one shuffle stream and accumulator across phases.
     """
-    if dataset.n_rows == 0:
-        raise DataError("cannot train on an empty dataset")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    if opt is None:
-        opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
     spec = LossSpec(kind=cfg.loss_phase1, eps_dice=cfg.eps_dice)
-    t0 = time.perf_counter()
-    records = _run_epochs(
-        model,
-        dataset.features,
-        dataset.labels,
-        spec,
-        cfg,
-        cfg.epochs_phase1,
-        phase=1,
-        opt=opt,
-        rng=rng,
-    )
-    return model, TrainReport(tuple(records), time.perf_counter() - t0)
+    return _run_epochs(model, dataset, spec, cfg, cfg.epochs_phase1, 1, rng, opt)
 
 
 def compute_anchors(model: ModelParams, dataset: FlowDataset) -> np.ndarray:
@@ -228,32 +218,15 @@ def train_phase2(
             f"anchor length {anchors.shape} does not match "
             f"{balanced.n_rows} dataset rows"
         )
-    if balanced.n_rows == 0:
-        raise DataError("cannot train on an empty dataset")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    if opt is None:
-        opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
     spec = LossSpec(
         kind="anchored",
         base=cfg.loss_phase2_base,
         lambda_anchor=cfg.lambda_anchor,
         eps_dice=cfg.eps_dice,
     )
-    t0 = time.perf_counter()
-    records = _run_epochs(
-        model,
-        balanced.features,
-        balanced.labels,
-        spec,
-        cfg,
-        cfg.epochs_phase2,
-        phase=2,
-        opt=opt,
-        rng=rng,
-        anchors=anchors,
+    return _run_epochs(
+        model, balanced, spec, cfg, cfg.epochs_phase2, 2, rng, opt, anchors
     )
-    return model, TrainReport(tuple(records), time.perf_counter() - t0)
 
 
 def run_dual_phase(

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -119,6 +120,49 @@ def test_train_reruns_are_byte_identical(tmp_path):
     _, out2 = run_train(tmp_path, data, out="r2", config=cfg)
     for name in ("model.txt", "train_report.csv", "eval_report.txt", "eval_report.kv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# sha256 of each artifact of a `train` run on make_data()'s CSV, recorded
+# with NumPy 2.4.6 (scipy-openblas 0.3.31). A refactor that is meant to keep
+# behaviour must keep these bytes; a change that moves floats on purpose
+# re-records them and says so. Another BLAS or NumPy build may round a
+# matrix product differently, which fails this test without any change of
+# the program.
+PINNED_ARTIFACTS = {
+    "default": (
+        {},
+        {
+            "model.txt": "f39529c030d6af97eed11bbdb8da5a3a7b48196ce3d7e2cf764f90253446cb0a",
+            "train_report.csv": "1932924986db565a678a113786fcdd85d1cc421ce73777120d51e30151be4657",
+            "eval_report.txt": "b20b79b9263738ac150647bc9794b650cf78f92477eb46fd7ea4995f3117e4ed",
+            "eval_report.kv": "a020ade51020d616d0b659a88697f087eb8a17c690bb0b7010213186a3642388",
+        },
+    ),
+    # projection shortcut on block 1 and an attention layer after each block
+    "projection-attention-each": (
+        {"architecture": {"block_widths": [8, 6], "attention_after_each": True}},
+        {
+            "model.txt": "922498a25566fceef7530167fb3314bd3336c60e4a5496cdba2bd05501fd1095",
+            "train_report.csv": "ae8a491508a4093ad49b8a9f073d1f6e8f097bcf5943663dff6e8ef20ca0a894",
+            "eval_report.txt": "b011a3a6ccdac9230ef1b23908b192cb79a7aded0d97bacaaf40f676f744521f",
+            "eval_report.kv": "e14b7d195209a2338757f250b6dc170fc3a5ad887cfbf1ef252318c889ef9b40",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("wiring", sorted(PINNED_ARTIFACTS))
+def test_train_artifacts_match_pinned_digests(tmp_path, wiring):
+    sections, digests = PINNED_ARTIFACTS[wiring]
+    data = make_data(tmp_path)
+    cfg = write_fast_config(tmp_path, **sections)
+    rc, outdir = run_train(tmp_path, data, config=cfg)
+    assert rc == 0
+    got = {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        for name in digests
+    }
+    assert got == digests
 
 
 def test_train_seed_override_changes_model(tmp_path):
@@ -305,3 +349,16 @@ def test_gradcheck_honors_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gradcheck": {"batch_rows": 4, "block_widths": [6]}}))
     assert main(["gradcheck", "--config", str(cfg)]) == 0
+
+
+# ------------------------------------------------------------- alignment
+
+def test_align_features_keeps_a_dataset_already_in_model_order():
+    from ddosflow.cli import _align_features
+    from ddosflow.flow_data import FlowDataset
+
+    ds = FlowDataset(("a", "b"), np.array([[1.0, 2.0]]), np.array([1]))
+    assert _align_features(ds, ("a", "b")) is ds
+    swapped = _align_features(ds, ("b", "a"))
+    assert swapped.feature_names == ("b", "a")
+    np.testing.assert_array_equal(swapped.features, [[2.0, 1.0]])

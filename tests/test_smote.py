@@ -10,7 +10,6 @@ from ddosflow.smote import (
     minority_neighbors,
     oversample,
     synthesize,
-    write_audit_csv,
 )
 
 
@@ -260,21 +259,6 @@ def test_parent_cycling_covers_all_minority_rows():
     for p in (24, 25, 26, 27):
         assert parents.count(p) == 5
     assert parents[:4] == [24, 25, 26, 27]  # dataset row order
-
-
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
-def test_audit_csv(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(12))
-    ds = _ds(rng.normal(size=(12, 2)), [0] * 9 + [1] * 3)
-    _, records = oversample(ds, SmoteConfig(seed=0))
-    path = tmp_path / "audit.csv"
-    write_audit_csv(records, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "parent_index,neighbor_index,lambda_interp"
-    assert len(lines) == len(records) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == records[0].parent_index
-    assert float(first[2]) == records[0].lambda_interp
 
 
 def test_config_validation():
