@@ -176,6 +176,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         scaler = fit_scaler(train_ds)
         train_s = apply_scaler(train_ds, scaler)
         test_s = apply_scaler(test_ds, scaler)
+    del raw, ds, train_ds, test_ds  # only the scaled copies are used below
     with _stage("smote"):
         balanced, synth_rows = oversample(train_s, cfg.smote)
     print(
@@ -232,6 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     with _stage("clean"):
         ds = clean(raw)
+    del raw
     with _stage("align"):
         ds = _align_features(ds, names)
         scaled = apply_scaler(ds, scaler)

@@ -16,6 +16,7 @@ import numpy as np
 from .layers import sigmoid
 
 __all__ = [
+    "BASE_LOSSES",
     "BCE_CLAMP",
     "LossSpec",
     "bce_loss",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 BCE_CLAMP = 1e-12  # probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]
+BASE_LOSSES = ("bce", "dice")  # the objectives "anchored" can build on
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,9 @@ class LossSpec:
     lambda_anchor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bce", "dice", "anchored"):
+        if self.kind not in (*BASE_LOSSES, "anchored"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.base not in ("bce", "dice"):
+        if self.base not in BASE_LOSSES:
             raise ValueError(f"unknown base loss {self.base!r}")
         if self.eps_dice <= 0:
             raise ValueError("eps_dice must be positive")

@@ -59,13 +59,29 @@ class SyntheticSample:
     lambda_interp: float
 
 
+# Float64 cells (4 MB) per working array: a block of Gram rows, its
+# candidate pairs and each chunk of re-rank difference rows stay within
+# this, so the search holds under 40 MB beside the input and its centred
+# copy however wide the candidate sets grow (for n <= _BLOCK_CELLS; one
+# query row always takes n cells).
+_BLOCK_CELLS = 1 << 19
+
+
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows.
 
-    Distances are Euclidean, computed as explicit squared differences
-    (no algebraic shortcuts) so exact ties are preserved; self is
-    excluded; ties break toward the lower row index. If ``k`` exceeds
-    ``rows - 1`` it is clamped with a warning.
+    Distances are Euclidean; self is excluded; ties break toward the lower
+    row index. If ``k`` exceeds ``rows - 1`` it is clamped with a warning.
+
+    The neighbors are exact, found in two steps. A Gram-matrix search
+    (``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows, one matrix product
+    per block of query rows) finds each row's approximate k-th distance and
+    keeps as candidates every row within twice a proven rounding bound of
+    it, a set that holds the true k nearest rows and every tie at the k-th
+    distance. The candidates are then re-ranked by explicit squared
+    differences, ``sum((a - b) ** 2)``, and ordered by (distance, index),
+    so the result is that of a stable sort of every row's explicit
+    distances.
 
     Args:
         X_min: Minority feature matrix, shape (n, d), n >= 2.
@@ -89,17 +105,59 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
         )
         k = n - 1
 
-    out = np.empty((n, k), dtype=np.int64)
     d = X_min.shape[1]
-    chunk = max(1, min(n, 8_388_608 // max(n * d, 1)))  # cap the diff buffer at ~64 MB
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = X_min[start:stop, None, :] - X_min[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for i in range(start, stop):
-            d2[i - start, i] = np.inf  # exclude self
-        order = np.argsort(d2, axis=1, kind="stable")  # stable: ties keep low index
-        out[start:stop] = order[:, :k]
+    # Rounding bound of the Gram distance G against the explicit one E.
+    # Let u = eps/2, g_m = m*u / (1 - m*u), Y the centred copy
+    # (Y_a = fl(a - mean)), s = |Y_a| + |Y_b| and D = |a - b|^2 exactly.
+    # - Centring: Y_a - Y_b = (a - b) + e with |e| <= u*s / (1 - u), so
+    #   | |Y_a - Y_b|^2 - D | <= |e| * (2s + |e|) <= 2.01 u s^2.
+    # - Gram: |Y_a|^2, |Y_b|^2 and Y_a.Y_b are each off by at most g_d
+    #   times their sum of absolute products (any summation order, FMA or
+    #   not), and the two additions by u of terms <= (1 + g_d) s^2: about
+    #   (d + 2) u s^2 in all.
+    # - Explicit: the difference, the square and the d-term sum give
+    #   |E - D| <= g_(d+2) D, with D <= (1.01 s)^2.
+    # So |G - E| <= (2d + 6) u s^2 to first order. tol = (2d + 16) eps s^2
+    # is twice that, which covers the higher-order terms (d*u << 1) and
+    # the rounding of the norms and of the threshold below. Per query row
+    # i, s <= |Y_i| + max_j |Y_j|.
+    # Candidates: the k rows of least G have E <= kth + tol, so the k-th
+    # least E is at most kth + tol, and every row j at or below it has
+    # G_j <= E_j + tol <= kth + 2 tol. Non-finite input makes the
+    # threshold NaN or inf and every row a candidate.
+    with np.errstate(invalid="ignore", over="ignore"):
+        Y = X_min - X_min.mean(axis=0)
+        sq_norms = np.einsum("ij,ij->i", Y, Y)
+        norms = np.sqrt(sq_norms)
+        tol = (2 * d + 16) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
+
+    out = np.empty((n, k), dtype=np.int64)
+    block = max(1, min(n, _BLOCK_CELLS // n))
+    pairs = max(1, _BLOCK_CELLS // max(d, 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = Y[start:stop] @ Y.T
+            gram *= -2.0
+            gram += sq_norms[start:stop, None]
+            gram += sq_norms
+            gram[rows, rows + start] = np.inf  # exclude self
+            kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+            cand = ~(gram > (kth + 2 * tol[start:stop])[:, None])  # NaN stays in
+        del gram
+        cand[rows, rows + start] = False
+        counts = np.count_nonzero(cand, axis=1)
+        qi, cj = np.nonzero(cand)  # row-major, so grouped by query row
+        del cand
+        d2 = np.empty(qi.size)
+        for lo in range(0, qi.size, pairs):
+            diff = X_min[qi[lo : lo + pairs] + start]
+            diff -= X_min[cj[lo : lo + pairs]]
+            d2[lo : lo + pairs] = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((cj, d2, qi))  # by query row, then (d2, index)
+        first = np.cumsum(counts) - counts
+        out[start:stop] = cj[order[first[:, None] + np.arange(k)]]
     return out
 
 

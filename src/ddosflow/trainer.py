@@ -28,6 +28,7 @@ from .nn import (
     named_parameters,
     sigmoid,
 )
+from .nn.losses import BASE_LOSSES
 
 __all__ = [
     "TrainConfig",
@@ -41,8 +42,6 @@ __all__ = [
     "classify",
     "write_train_report_csv",
 ]
-
-_LOSS_KINDS = ("bce", "dice")
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,10 @@ class TrainConfig:
             raise ValueError("eta must be positive")
         if self.lambda_anchor < 0:
             raise ValueError("lambda_anchor must be >= 0")
-        if self.loss_phase1 not in _LOSS_KINDS:
-            raise ValueError(f"loss_phase1 must be one of {_LOSS_KINDS}")
-        if self.loss_phase2_base not in _LOSS_KINDS:
-            raise ValueError(f"loss_phase2_base must be one of {_LOSS_KINDS}")
+        if self.loss_phase1 not in BASE_LOSSES:
+            raise ValueError(f"loss_phase1 must be one of {BASE_LOSSES}")
+        if self.loss_phase2_base not in BASE_LOSSES:
+            raise ValueError(f"loss_phase2_base must be one of {BASE_LOSSES}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         if self.eps_dice <= 0 or self.eps_opt <= 0:

@@ -1,8 +1,11 @@
 """SMOTE tests, checked against brute-force geometric oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ddosflow import smote
 from ddosflow.errors import DataError
 from ddosflow.flow_data import FlowDataset
 from ddosflow.smote import (
@@ -102,6 +105,82 @@ def test_neighbor_ties_break_to_lower_index():
         np.testing.assert_array_equal(
             minority_neighbors(X, k), brute_force_neighbors(X, k)
         )
+
+
+def _reference_neighbors(X_min, k):
+    """The explicit difference-tensor search the Gram search replaced,
+    kept as the reference (k already clamped)."""
+    n = X_min.shape[0]
+    out = np.empty((n, k), dtype=np.int64)
+    d = X_min.shape[1]
+    chunk = max(1, min(n, 8_388_608 // max(n * d, 1)))  # cap the diff buffer at ~64 MB
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        diff = X_min[start:stop, None, :] - X_min[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for i in range(start, stop):
+            d2[i - start, i] = np.inf  # exclude self
+        order = np.argsort(d2, axis=1, kind="stable")  # stable: ties keep low index
+        out[start:stop] = order[:, :k]
+    return out
+
+
+def test_neighbors_match_explicit_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 80),
+        k=st.integers(1, 12),
+        kind=st.sampled_from(["normal", "grid", "near-duplicates", "mixed scales"]),
+        offset=st.sampled_from([0.0, 1e6, -1e6, 1e8]),
+        block_cells=st.one_of(st.none(), st.integers(1, 400)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, d, k, kind, offset, block_cells, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        k = min(k, n - 1)
+        if kind == "normal":
+            X = rng.normal(size=(n, d))
+        elif kind == "grid":  # exact distance ties
+            X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        elif kind == "near-duplicates":  # copies 1 ulp apart
+            X = rng.normal(size=(max(1, n // 3), d))[rng.integers(0, max(1, n // 3), n)]
+            X = np.nextafter(X, np.where(rng.random((n, d)) < 0.5, -np.inf, np.inf))
+        else:
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+        X = X + offset
+        with pytest.MonkeyPatch.context() as mp:
+            if block_cells is not None:
+                # small blocks: queries and re-rank chunks cross block edges
+                mp.setattr(smote, "_BLOCK_CELLS", block_cells)
+            got = minority_neighbors(X, k)
+        np.testing.assert_array_equal(got, _reference_neighbors(X, k))
+
+    check()
+
+
+def test_neighbor_search_memory_stays_under_cap():
+    # A 1e8 common offset and, worse, rows all at one point (every row a
+    # candidate of every other) must stay under the ~64 MB working set.
+    rng = np.random.Generator(np.random.PCG64(41))
+    offset = rng.normal(size=(3000, 78)) + 1e8
+    same = np.full((1200, 78), 1e8)
+    for X in (offset, same):
+        tracemalloc.start()
+        try:
+            got = minority_neighbors(X, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for i in (0, 1, 599, X.shape[0] - 1):  # spot-check against a full sort
+            diff = X[i] - X
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            d2[i] = np.inf
+            np.testing.assert_array_equal(got[i], np.argsort(d2, kind="stable")[:5])
 
 
 # ------------------------------------------------------------- synthesize

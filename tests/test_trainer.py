@@ -6,7 +6,13 @@ import pytest
 
 from ddosflow.flow_data import FlowDataset
 from ddosflow.errors import DataError
-from ddosflow.nn import ArchitectureConfig, init_model, named_parameters, named_state
+from ddosflow.nn import (
+    ArchitectureConfig,
+    LossSpec,
+    init_model,
+    named_parameters,
+    named_state,
+)
 from ddosflow.trainer import (
     TrainConfig,
     TrainReport,
@@ -67,6 +73,22 @@ def test_config_validation():
         TrainConfig(threshold=1.0)
     with pytest.raises(ValueError):
         TrainConfig(eps_dice=0.0)
+
+
+def test_loss_names_match_loss_spec():
+    # the config accepts exactly the base losses LossSpec accepts
+    for name in ("bce", "dice"):
+        TrainConfig(loss_phase1=name, loss_phase2_base=name)
+        LossSpec(kind=name, base=name)
+    names = r"\('bce', 'dice'\)$"
+    with pytest.raises(ValueError, match=r"^loss_phase1 must be one of " + names):
+        TrainConfig(loss_phase1="anchored")
+    with pytest.raises(ValueError, match=r"^loss_phase2_base must be one of " + names):
+        TrainConfig(loss_phase2_base="hinge")
+    with pytest.raises(ValueError, match=r"^unknown loss kind 'hinge'$"):
+        LossSpec(kind="hinge")
+    with pytest.raises(ValueError, match=r"^unknown base loss 'anchored'$"):
+        LossSpec(kind="anchored", base="anchored")
 
 
 # --------------------------------------------------------------- phase 1
