@@ -44,7 +44,7 @@ from .metrics import (
     recall,
     roc_auc,
 )
-from .smote import SmoteConfig, SyntheticSample, minority_neighbors, oversample, synthesize
+from .smote import SmoteConfig, SmoteProvenance, minority_neighbors, oversample, synthesize
 from .synth import SyntheticSpec, make_synthetic, write_synthetic_csv
 from .trainer import (
     EpochRecord,
@@ -75,7 +75,7 @@ __all__ = [
     "fit_scaler",
     "apply_scaler",
     "SmoteConfig",
-    "SyntheticSample",
+    "SmoteProvenance",
     "minority_neighbors",
     "synthesize",
     "oversample",

@@ -172,16 +172,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         ds = clean(raw)
     with _stage("split"):
         train_ds, test_ds = train_test_split(ds, cfg.split)
+        test_counts = np.bincount(test_ds.labels, minlength=2)
+        if not test_counts.all():  # AUC and recall need both classes
+            raise DataError(
+                f"test split has {test_counts[0]} benign and {test_counts[1]} attack "
+                "rows; evaluation needs both classes (see split.stratify)"
+            )
     with _stage("scale"):
         scaler = fit_scaler(train_ds)
         train_s = apply_scaler(train_ds, scaler)
         test_s = apply_scaler(test_ds, scaler)
     del raw, ds, train_ds, test_ds  # only the scaled copies are used below
     with _stage("smote"):
-        balanced, synth_rows = oversample(train_s, cfg.smote)
+        balanced, _ = oversample(train_s, cfg.smote)
     print(
         f"train {train_s.n_rows} rows -> {balanced.n_rows} after oversampling "
-        f"({len(synth_rows)} synthetic); test {test_s.n_rows} rows"
+        f"({balanced.n_rows - train_s.n_rows} synthetic); test {test_s.n_rows} rows"
     )
 
     with _stage("train"):

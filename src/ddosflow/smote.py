@@ -1,8 +1,8 @@
 """Minority-class rebalancing by k-nearest-neighbor interpolation.
 
 Synthetic rows are built by walking the minority class in row order,
-picking one of each row's k nearest minority neighbors at random, and
-interpolating a uniform random fraction of the way toward it:
+drawing one of each row's k nearest minority neighbors and a uniform
+random fraction, then interpolating every row in one array expression:
 
     new = parent + lam * (neighbor - parent),  lam ~ U[0, 1)
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .flow_data import FlowDataset, _round_half_up
 
 __all__ = [
     "SmoteConfig",
-    "SyntheticSample",
+    "SmoteProvenance",
     "minority_neighbors",
     "synthesize",
     "oversample",
@@ -44,19 +45,17 @@ class SmoteConfig:
             raise ValueError("target_ratio must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
-    """Provenance record for one synthetic row.
+class SmoteProvenance(NamedTuple):
+    """Origin of the synthetic rows, as arrays with one entry per row.
 
-    ``parent_index`` and ``neighbor_index`` are row indices into the
-    ORIGINAL dataset passed to :func:`oversample`, and ``vector`` equals
-    ``parent + lambda_interp * (neighbor - parent)`` exactly as computed.
+    Entry ``s`` describes balanced row ``n_rows + s``: ``parent_index`` and
+    ``neighbor_index`` (int64) index rows of the ORIGINAL dataset passed to
+    :func:`oversample`, and ``lambda_interp`` is the factor between them.
     """
 
-    vector: np.ndarray
-    parent_index: int
-    neighbor_index: int
-    lambda_interp: float
+    parent_index: np.ndarray
+    neighbor_index: np.ndarray
+    lambda_interp: np.ndarray
 
 
 # Float64 cells (4 MB) per working array: a block of Gram rows, its
@@ -161,36 +160,42 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def synthesize(x_i: np.ndarray, x_zi: np.ndarray, lambda_interp: float) -> np.ndarray:
-    """Interpolate between a parent and one of its neighbors.
+def synthesize(
+    x_i: np.ndarray, x_zi: np.ndarray, lambda_interp: float | np.ndarray
+) -> np.ndarray:
+    """Interpolate rows: ``x_i + lambda_interp * (x_zi - x_i)``.
 
-    Returns ``x_i + lambda_interp * (x_zi - x_i)``; with lambda in [0, 1)
-    the result lies on the closed segment between the two points.
+    ``x_i`` and ``x_zi`` have shape (..., d) and ``lambda_interp`` holds one
+    factor per row, shape (...): a scalar for a single row. With factors in
+    [0, 1) each result lies on the closed segment between its two points.
     """
     x_i = np.asarray(x_i, dtype=np.float64)
     x_zi = np.asarray(x_zi, dtype=np.float64)
+    lam = np.asarray(lambda_interp, dtype=np.float64)
     if x_i.shape != x_zi.shape:
         raise ValueError(f"dimension mismatch: {x_i.shape} vs {x_zi.shape}")
-    if not 0.0 <= lambda_interp < 1.0:
+    if lam.shape != x_i.shape[:-1]:
+        raise ValueError(f"lambda_interp shape {lam.shape} vs rows {x_i.shape[:-1]}")
+    if not ((lam >= 0.0) & (lam < 1.0)).all():
         raise ValueError("lambda_interp must be in [0, 1)")
-    return x_i + lambda_interp * (x_zi - x_i)
+    return x_i + lam[..., None] * (x_zi - x_i)
 
 
 def oversample(
     ds: FlowDataset, cfg: SmoteConfig
-) -> tuple[FlowDataset, list[SyntheticSample]]:
+) -> tuple[FlowDataset, SmoteProvenance]:
     """Raise the minority class to ``round(target_ratio * majority count)`` rows.
 
     Original rows are preserved verbatim and first; synthetic rows are
     appended carrying the minority label. Parents are visited by cycling
     through the minority rows in dataset order; for each visit one of the
-    parent's k nearest neighbors and one interpolation factor are drawn
-    from a single seeded RNG stream, so a fixed seed reproduces the
-    synthetic rows bitwise.
+    parent's k nearest neighbors and then one interpolation factor are
+    drawn from a single seeded RNG stream, so a fixed seed reproduces the
+    synthetic rows bitwise; one :func:`synthesize` call then builds them.
 
     Returns:
-        ``(balanced_dataset, records)`` where ``records`` describes each
-        appended row (parent, neighbor, interpolation factor).
+        ``(balanced_dataset, provenance)``: the :class:`SmoteProvenance`
+        of the appended rows, empty arrays when none are added.
 
     Raises:
         DataError: one of the classes is absent.
@@ -201,37 +206,25 @@ def oversample(
 
     minority_label = 0 if counts[0] < counts[1] else 1
     n_min = int(counts[minority_label])
-    n_maj = int(counts[1 - minority_label])
-    target = _round_half_up(cfg.target_ratio * n_maj)
-    n_new = target - n_min
+    n_new = _round_half_up(cfg.target_ratio * int(counts[1 - minority_label])) - n_min
     if n_new <= 0:
-        return ds, []
+        empty = np.empty(0, dtype=np.int64)
+        return ds, SmoteProvenance(empty, empty, np.empty(0))
 
     min_rows = np.flatnonzero(ds.labels == minority_label)
-    X_min = ds.features[min_rows]
-    neighbors = minority_neighbors(X_min, cfg.k)
-    k_eff = neighbors.shape[1]
+    neighbors = minority_neighbors(ds.features[min_rows], cfg.k)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    records: list[SyntheticSample] = []
-    synth = np.empty((n_new, ds.n_features), dtype=np.float64)
-    for s in range(n_new):
-        parent = s % n_min
-        neighbor = int(neighbors[parent, rng.integers(0, k_eff)])
-        lam = float(rng.random())
-        vector = synthesize(X_min[parent], X_min[neighbor], lam)
-        synth[s] = vector
-        records.append(
-            SyntheticSample(
-                vector=vector,
-                parent_index=int(min_rows[parent]),
-                neighbor_index=int(min_rows[neighbor]),
-                lambda_interp=lam,
-            )
-        )
+    col = np.empty(n_new, dtype=np.int64)
+    lam = np.empty(n_new, dtype=np.float64)
+    for s in range(n_new):  # one stream, per row: neighbor, then factor
+        col[s], lam[s] = rng.integers(0, neighbors.shape[1]), rng.random()
 
-    features = np.vstack([ds.features, synth])
-    labels = np.concatenate(
-        [ds.labels, np.full(n_new, minority_label, dtype=np.int64)]
-    )
-    return FlowDataset(ds.feature_names, features, labels), records
+    parent = np.arange(n_new) % n_min
+    parent_index = min_rows[parent]
+    neighbor_index = min_rows[neighbors[parent, col]]
+    synth = synthesize(ds.features[parent_index], ds.features[neighbor_index], lam)
+
+    labels = np.concatenate([ds.labels, np.full(n_new, minority_label, dtype=np.int64)])
+    balanced = FlowDataset(ds.feature_names, np.vstack([ds.features, synth]), labels)
+    return balanced, SmoteProvenance(parent_index, neighbor_index, lam)

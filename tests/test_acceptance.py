@@ -96,19 +96,21 @@ def test_criterion_2_smote_geometry():
                 features=X[order],
                 labels=y[order],
             )
-            balanced, records = oversample(ds, SmoteConfig(seed=int(rng.integers(1 << 30))))
+            balanced, prov = oversample(ds, SmoteConfig(seed=int(rng.integers(1 << 30))))
 
             # exact post-balance counts
             assert int((balanced.labels == 1).sum()) == n_maj
             assert int((balanced.labels == 0).sum()) == n_maj
-            assert len(records) == n_maj - n_min
+            assert balanced.n_rows - ds.n_rows == n_maj - n_min
+            assert [a.shape for a in prov] == [(n_maj - n_min,)] * 3
 
             minority_rows = ds.features[ds.labels == 1]
-            for rec in records:
-                parent = ds.features[rec.parent_index]
-                neighbor = ds.features[rec.neighbor_index]
-                assert ds.labels[rec.parent_index] == 1
-                assert ds.labels[rec.neighbor_index] == 1
+            for s, (p, nb, lam) in enumerate(zip(*prov)):
+                row = balanced.features[ds.n_rows + s]  # the row training sees
+                parent = ds.features[p]
+                neighbor = ds.features[nb]
+                assert ds.labels[p] == 1
+                assert ds.labels[nb] == 1
                 # brute-force neighbor validity: within the k nearest
                 # minority distances from the parent (excluding itself)
                 d2 = np.sum((minority_rows - parent) ** 2, axis=1)
@@ -117,9 +119,9 @@ def test_criterion_2_smote_geometry():
                 d2_rec = float(np.sum((neighbor - parent) ** 2))
                 assert d2_rec <= d2[k_eff - 1] + 1e-12
                 # segment membership, coordinate by coordinate
-                expected = parent + rec.lambda_interp * (neighbor - parent)
-                assert np.abs(rec.vector - expected).max() < 1e-9
-                assert 0.0 <= rec.lambda_interp < 1.0
+                expected = parent + lam * (neighbor - parent)
+                assert np.abs(row - expected).max() < 1e-9
+                assert 0.0 <= lam < 1.0
                 checked += 1
     elapsed = time.perf_counter() - t0
     report(2, elapsed < 60.0, f"{checked} synthetic rows verified, {elapsed:.1f}s")

@@ -103,6 +103,8 @@ def test_train_produces_model_and_reports(tmp_path, capsys):
     assert (outdir / "eval_report.kv").exists()
     out = capsys.readouterr().out
     assert "Accuracy" in out
+    # 95 benign + 25 attack training rows; SMOTE adds 70 attack rows
+    assert "train 120 rows -> 190 after oversampling (70 synthetic); test 30 rows" in out
     kv = dict(
         line.split("=", 1)
         for line in (outdir / "eval_report.kv").read_text().strip().splitlines()
@@ -194,6 +196,22 @@ def test_train_unparseable_config(tmp_path, capsys):
     rc, _ = run_train(tmp_path, data, config=str(bad))
     assert rc == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_train_one_class_test_split_fails_before_training(tmp_path, capsys):
+    # 40 benign + 2 attack rows: split seed 0 puts no attack row among the
+    # 8 test rows, which would leave AUC undefined after training
+    data = make_data(tmp_path, majority=40, minority=2)
+    cfg = write_fast_config(
+        tmp_path, train={"epochs_phase1": 3, "epochs_phase2": 3}, split={"seed": 0}
+    )
+    rc, outdir = run_train(tmp_path, data, config=cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "split: test split has 8 benign and 0 attack rows" in err
+    assert "split.stratify" in err
+    assert not (outdir / "model.txt").exists()
+    assert not (outdir / "train_report.csv").exists()
 
 
 def test_train_empty_csv(tmp_path, capsys):

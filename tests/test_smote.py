@@ -194,6 +194,13 @@ def test_synthesize_lambda_zero_is_parent():
 def test_synthesize_direct_arithmetic():
     out = synthesize(np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.25)
     np.testing.assert_array_equal(out, [0.5, 1.0])
+    # a batch of rows takes one factor per row
+    out = synthesize(
+        np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -2.0]]),
+        np.array([[2.0, 4.0], [3.0, 1.0], [2.0, 2.0]]),
+        np.array([0.25, 0.5, 0.0]),
+    )
+    np.testing.assert_array_equal(out, [[0.5, 1.0], [2.0, 1.0], [2.0, -2.0]])
 
 
 def test_synthesize_stays_on_segment():
@@ -206,6 +213,10 @@ def test_synthesize_stays_on_segment():
         lo = np.minimum(a, b) - 1e-12
         hi = np.maximum(a, b) + 1e-12
         assert ((out >= lo) & (out <= hi)).all()
+    a = rng.normal(size=(200, 4)) * 10
+    b = rng.normal(size=(200, 4)) * 10
+    out = synthesize(a, b, rng.random(200))
+    assert ((out >= np.minimum(a, b) - 1e-12) & (out <= np.maximum(a, b) + 1e-12)).all()
 
 
 def test_synthesize_errors():
@@ -215,6 +226,12 @@ def test_synthesize_errors():
         synthesize(np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="lambda"):
         synthesize(np.zeros(2), np.zeros(2), -0.1)
+    with pytest.raises(ValueError, match="lambda"):
+        synthesize(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0.1, 1.0, 0.2]))
+    with pytest.raises(ValueError, match="lambda_interp shape"):
+        synthesize(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="lambda_interp shape"):
+        synthesize(np.zeros((3, 2)), np.zeros((3, 2)), 0.5)
 
 
 # ------------------------------------------------------------- oversample
@@ -222,18 +239,19 @@ def test_synthesize_errors():
 def test_oversample_counts_100_10():
     rng = np.random.Generator(np.random.PCG64(1))
     ds = _ds(rng.normal(size=(110, 3)), [0] * 100 + [1] * 10)
-    out, records = oversample(ds, SmoteConfig(seed=0))
+    out, prov = oversample(ds, SmoteConfig(seed=0))
     counts = np.bincount(out.labels)
     assert counts.tolist() == [100, 100]
-    assert len(records) == 90
+    assert [a.shape for a in prov] == [(90,)] * 3
+    assert [a.dtype for a in prov] == [np.int64, np.int64, np.float64]
     assert out.n_rows == 200
 
 
 def test_oversample_balanced_input_is_noop():
     rng = np.random.Generator(np.random.PCG64(2))
     ds = _ds(rng.normal(size=(20, 2)), [0] * 10 + [1] * 10)
-    out, records = oversample(ds, SmoteConfig())
-    assert records == []
+    out, prov = oversample(ds, SmoteConfig())
+    assert [a.size for a in prov] == [0, 0, 0]
     np.testing.assert_array_equal(out.features, ds.features)
     np.testing.assert_array_equal(out.labels, ds.labels)
 
@@ -266,10 +284,10 @@ def test_oversample_requires_both_classes():
 def test_oversample_minority_may_be_class_zero():
     rng = np.random.Generator(np.random.PCG64(6))
     ds = _ds(rng.normal(size=(50, 2)), [1] * 44 + [0] * 6)
-    out, records = oversample(ds, SmoteConfig(seed=2))
+    out, prov = oversample(ds, SmoteConfig(seed=2))
     counts = np.bincount(out.labels)
     assert counts.tolist() == [44, 44]
-    assert all(out.labels[50 + i] == 0 for i in range(len(records)))
+    assert all(out.labels[50 + i] == 0 for i in range(len(prov.parent_index)))
 
 
 @pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
@@ -284,26 +302,22 @@ def test_oversample_target_ratio():
 def test_oversample_ratio_already_met_is_noop():
     rng = np.random.Generator(np.random.PCG64(8))
     ds = _ds(rng.normal(size=(30, 2)), [0] * 20 + [1] * 10)
-    out, records = oversample(ds, SmoteConfig(target_ratio=0.5))
-    assert records == [] and out.n_rows == 30
+    out, prov = oversample(ds, SmoteConfig(target_ratio=0.5))
+    assert [a.size for a in prov] == [0, 0, 0] and out.n_rows == 30
 
 
 def test_synthetic_rows_match_recorded_parents_exactly():
     rng = np.random.Generator(np.random.PCG64(9))
     ds = _ds(rng.normal(size=(26, 3)), [0] * 20 + [1] * 6)
-    out, records = oversample(ds, SmoteConfig(seed=5))
-    for s, rec in enumerate(records):
+    out, prov = oversample(ds, SmoteConfig(seed=5))
+    assert out.n_rows == 26 + len(prov.parent_index)
+    for s, (parent, neighbor, lam) in enumerate(zip(*prov)):
         row = out.features[26 + s]
-        np.testing.assert_array_equal(row, rec.vector)
-        expected = synthesize(
-            ds.features[rec.parent_index],
-            ds.features[rec.neighbor_index],
-            rec.lambda_interp,
-        )
+        expected = synthesize(ds.features[parent], ds.features[neighbor], lam)
         np.testing.assert_array_equal(row, expected)
-        assert ds.labels[rec.parent_index] == 1
-        assert ds.labels[rec.neighbor_index] == 1
-        assert 0.0 <= rec.lambda_interp < 1.0
+        assert ds.labels[parent] == 1
+        assert ds.labels[neighbor] == 1
+        assert 0.0 <= lam < 1.0
 
 
 @pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
@@ -315,11 +329,11 @@ def test_synthetic_rows_pass_segment_membership_oracle():
         d = int(rng.integers(1, 5))
         features = rng.normal(size=(n_maj + n_min, d))
         ds = _ds(features, [0] * n_maj + [1] * n_min)
-        out, records = oversample(ds, SmoteConfig(seed=trial))
+        out, _ = oversample(ds, SmoteConfig(seed=trial))
         minority = ds.features[ds.labels == 1]
-        for rec in records:
+        for row in out.features[ds.n_rows :]:
             hits = [
-                on_segment(rec.vector, minority[i], minority[j])
+                on_segment(row, minority[i], minority[j])
                 for i in range(n_min)
                 for j in range(n_min)
                 if i != j
@@ -331,13 +345,79 @@ def test_synthetic_rows_pass_segment_membership_oracle():
 def test_parent_cycling_covers_all_minority_rows():
     rng = np.random.Generator(np.random.PCG64(11))
     ds = _ds(rng.normal(size=(28, 2)), [0] * 24 + [1] * 4)
-    _, records = oversample(ds, SmoteConfig(seed=1))
+    _, prov = oversample(ds, SmoteConfig(seed=1))
     # 20 synthetic rows over 4 parents -> each parent used exactly 5 times
-    parents = [r.parent_index for r in records]
-    assert len(records) == 20
+    parents = prov.parent_index.tolist()
+    assert len(parents) == 20
     for p in (24, 25, 26, 27):
         assert parents.count(p) == 5
     assert parents[:4] == [24, 25, 26, 27]  # dataset row order
+
+
+def _reference_oversample(ds, cfg):
+    """The per-row loop the array code replaced, kept as the reference:
+    one neighbor draw, one factor draw and one interpolation per row.
+    Returns the balanced features and labels and the provenance lists."""
+    counts = np.bincount(ds.labels, minlength=2)
+    minority_label = 0 if counts[0] < counts[1] else 1
+    n_min = int(counts[minority_label])
+    n_maj = int(counts[1 - minority_label])
+    n_new = int(np.floor(cfg.target_ratio * n_maj + 0.5)) - n_min
+    if n_new <= 0:
+        return ds.features, ds.labels, ([], [], [])
+    min_rows = np.flatnonzero(ds.labels == minority_label)
+    X_min = ds.features[min_rows]
+    neighbors = minority_neighbors(X_min, cfg.k)
+    k_eff = neighbors.shape[1]
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    parents, nbrs, lams = [], [], []
+    synth = np.empty((n_new, ds.n_features), dtype=np.float64)
+    for s in range(n_new):
+        parent = s % n_min
+        neighbor = int(neighbors[parent, rng.integers(0, k_eff)])
+        lam = float(rng.random())
+        synth[s] = X_min[parent] + lam * (X_min[neighbor] - X_min[parent])
+        parents.append(int(min_rows[parent]))
+        nbrs.append(int(min_rows[neighbor]))
+        lams.append(lam)
+    features = np.vstack([ds.features, synth])
+    labels = np.concatenate([ds.labels, np.full(n_new, minority_label, dtype=np.int64)])
+    return features, labels, (parents, nbrs, lams)
+
+
+@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
+def test_oversample_matches_per_row_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        n_min=st.integers(2, 40),
+        extra=st.integers(0, 120),
+        d=st.integers(1, 12),
+        k=st.integers(1, 8),  # k >= n_min exercises the clamp
+        target_ratio=st.sampled_from([1.0, 0.75, 0.5, 0.3, 0.01]),
+        minority_label=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n_min, extra, d, k, target_ratio, minority_label, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n_maj = n_min + 1 + extra
+        labels = np.array([minority_label] * n_min + [1 - minority_label] * n_maj)
+        ds = _ds(rng.normal(size=(n_min + n_maj, d)), labels[rng.permutation(labels.size)])
+        cfg = SmoteConfig(k=k, seed=seed, target_ratio=target_ratio)
+        out, prov = oversample(ds, cfg)
+        features, labels, (parents, nbrs, lams) = _reference_oversample(ds, cfg)
+        np.testing.assert_array_equal(out.features.view(np.int64), features.view(np.int64))
+        np.testing.assert_array_equal(out.labels, labels)
+        assert prov.parent_index.dtype == np.int64 and prov.parent_index.tolist() == parents
+        assert prov.neighbor_index.dtype == np.int64 and prov.neighbor_index.tolist() == nbrs
+        assert prov.lambda_interp.dtype == np.float64
+        np.testing.assert_array_equal(
+            prov.lambda_interp.view(np.int64), np.array(lams, dtype=np.float64).view(np.int64)
+        )
+
+    check()
 
 
 def test_config_validation():
