@@ -172,6 +172,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         ds = clean(raw)
     with _stage("split"):
         train_ds, test_ds = train_test_split(ds, cfg.split)
+        train_counts = np.bincount(train_ds.labels, minlength=2)
+        if train_counts.min() < 2:  # SMOTE interpolates between minority rows
+            raise DataError(
+                f"training split has {train_counts[0]} benign and {train_counts[1]} "
+                "attack rows; SMOTE needs at least 2 rows of each class"
+            )
         test_counts = np.bincount(test_ds.labels, minlength=2)
         if not test_counts.all():  # AUC and recall need both classes
             raise DataError(

@@ -6,6 +6,12 @@ Everything operates on float64 row-major matrices of shape
 cache holds exactly the intermediates the matching backward needs.
 Batch norm is the only stateful piece: in train mode it can update its
 running statistics in place (single-writer training loop only).
+
+Every forward and backward writes its results and temporaries into the
+buffers of a :class:`Workspace` (``ws``), a fresh one when none is given.
+A loop that passes one workspace to every call allocates no activation or
+gradient arrays once its first batch has run; the arrays it gets back are
+views that the next pass over the same layer overwrites.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Workspace",
     "AffineParams",
     "BatchNormParams",
     "AttentionParams",
@@ -32,6 +39,30 @@ __all__ = [
     "residual_block_forward",
     "residual_block_backward",
 ]
+
+
+class Workspace:
+    """Named float64 buffers, reused by the network passes that share it.
+
+    ``get(owner, role, rows, *cols)`` returns the first ``rows`` rows of
+    the buffer that ``owner`` (a parameter object, or any hashable key)
+    keeps under ``role``. A buffer is allocated at the rows of its first
+    use and again only when a call needs more rows or other columns, so
+    batches of at most the first batch's size reuse it. ``names`` keeps
+    each model's gradient names, so a backward pass walks the parameter
+    tree once per model and workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[object, str], np.ndarray] = {}
+        self.names: dict[object, list[str]] = {}
+
+    def get(self, owner: object, role: str, rows: int, *cols: int) -> np.ndarray:
+        key = (owner, role)
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[0] < rows or buf.shape[1:] != cols:
+            buf = self._buffers[key] = np.empty((rows, *cols))
+        return buf[:rows]
 
 
 @dataclass(eq=False)
@@ -85,13 +116,16 @@ class ResidualBlockParams:
     attention: AttentionParams | None = None
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x_pre: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    # subgradient 0 at exactly 0
-    return dout * (x_pre > 0)
+def relu_backward(
+    x_pre: np.ndarray, dout: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # subgradient 0 at exactly 0; a mask written into a float ``out`` holds
+    # 1.0/0.0, which multiply exactly as the booleans do
+    return np.multiply(dout, np.greater(x_pre, 0.0, out=out), out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -101,27 +135,34 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; every output row sums to 1."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction; every output row sums to 1.
+
+    ``out`` may be ``x`` itself."""
+    e = np.exp(np.subtract(x, x.max(axis=1, keepdims=True), out=out), out=out)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
 
-def affine_forward(p: AffineParams, x: np.ndarray) -> np.ndarray:
+def affine_forward(
+    p: AffineParams, x: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
     """``out = x @ W.T + b``, bias broadcast per row."""
     if x.shape[1] != p.W.shape[1]:
         raise ValueError(f"affine expects width {p.W.shape[1]}, got {x.shape[1]}")
-    return x @ p.W.T + p.b
+    ws = Workspace() if ws is None else ws
+    out = np.matmul(x, p.W.T, out=ws.get(p, "out", x.shape[0], p.W.shape[0]))
+    out += p.b
+    return out
 
 
 def affine_backward(
-    p: AffineParams, x: np.ndarray, dout: np.ndarray
+    p: AffineParams, x: np.ndarray, dout: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(dx, dW, db)`` for the cached input ``x``."""
-    dx = dout @ p.W
-    dW = dout.T @ x
-    db = dout.sum(axis=0)
+    ws = Workspace() if ws is None else ws
+    dx = np.matmul(dout, p.W, out=ws.get(p, "dx", *x.shape))
+    dW = np.matmul(dout.T, x, out=ws.get(p, "dW", *p.W.shape))
+    db = np.sum(dout, axis=0, out=ws.get(p, "db", *p.b.shape))
     return dx, dW, db
 
 
@@ -130,6 +171,7 @@ def batchnorm_forward(
     x: np.ndarray,
     mode: str,
     update_running: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Normalize per column, scale by gamma, shift by beta.
 
@@ -142,53 +184,74 @@ def batchnorm_forward(
         ValueError: train mode with a batch of fewer than 2 rows, or an
             unknown mode.
     """
+    ws = Workspace() if ws is None else ws
+    m, w = x.shape
+    out, xhat = ws.get(p, "out", m, w), ws.get(p, "xhat", m, w)
+    inv = ws.get(p, "inv", w)
     if mode == "train":
-        if x.shape[0] < 2:
+        if m < 2:
             raise ValueError("batch norm in train mode requires batch size >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)  # population variance
-        inv = 1.0 / np.sqrt(var + p.eps_bn)
-        xhat = (x - mean) * inv
+        # x.mean(axis=0) and x.var(axis=0) (population variance), computed
+        # as NumPy computes them, with the centred rows kept for xhat
+        mean = np.sum(x, axis=0, out=ws.get(p, "mean", w))
+        mean /= m
+        centred = np.subtract(x, mean, out=out)
+        squares = np.multiply(centred, centred, out=xhat)
+        var = np.sum(squares, axis=0, out=ws.get(p, "var", w))
+        var /= m
+        np.add(var, p.eps_bn, out=inv)
         if update_running:
+            step = ws.get(p, "step", w)
             p.running_mean *= p.momentum
-            p.running_mean += (1.0 - p.momentum) * mean
+            p.running_mean += np.multiply(mean, 1.0 - p.momentum, out=step)
             p.running_var *= p.momentum
-            p.running_var += (1.0 - p.momentum) * var
+            p.running_var += np.multiply(var, 1.0 - p.momentum, out=step)
     elif mode == "infer":
-        inv = 1.0 / np.sqrt(p.running_var + p.eps_bn)
-        xhat = (x - p.running_mean) * inv
+        centred = np.subtract(x, p.running_mean, out=out)
+        np.add(p.running_var, p.eps_bn, out=inv)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = p.gamma * xhat + p.beta
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    np.multiply(centred, inv, out=xhat)
+    np.multiply(xhat, p.gamma, out=out)
+    out += p.beta
     cache = {"mode": mode, "xhat": xhat, "inv": inv}
     return out, cache
 
 
 def batchnorm_backward(
-    p: BatchNormParams, cache: dict, dout: np.ndarray
+    p: BatchNormParams, cache: dict, dout: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(dx, dgamma, dbeta)``.
 
     In train mode the batch statistics are part of the computation graph;
     in infer mode the running statistics are constants.
     """
+    ws = Workspace() if ws is None else ws
     xhat = cache["xhat"]
     inv = cache["inv"]
-    dbeta = dout.sum(axis=0)
-    dgamma = (dout * xhat).sum(axis=0)
+    m, w = dout.shape
+    scratch = ws.get(p, "scratch", m, w)
+    dbeta = np.sum(dout, axis=0, out=ws.get(p, "dbeta", w))
+    dgamma = np.multiply(dout, xhat, out=scratch).sum(axis=0, out=ws.get(p, "dgamma", w))
+    # train: dx = (inv / m) * (m * dxhat - dxhat.sum(axis=0)
+    #                          - xhat * (dxhat * xhat).sum(axis=0)),
+    # with dxhat = dout * gamma built in dx's buffer and scaled in place
+    dx = np.multiply(dout, p.gamma, out=ws.get(p, "dx", m, w))
     if cache["mode"] == "train":
-        m = dout.shape[0]
-        dxhat = dout * p.gamma
-        dx = (inv / m) * (
-            m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        dxhat_sum = np.sum(dx, axis=0, out=ws.get(p, "dxhat_sum", w))
+        proj = np.multiply(dx, xhat, out=scratch).sum(axis=0, out=ws.get(p, "proj", w))
+        dx *= m
+        dx -= dxhat_sum
+        dx -= np.multiply(xhat, proj, out=scratch)
+        dx *= np.divide(inv, m, out=ws.get(p, "inv_m", w))
     else:
-        dx = dout * p.gamma * inv
+        dx *= inv
     return dx, dgamma, dbeta
 
 
 def attention_forward(
-    p: AttentionParams, Z: np.ndarray
+    p: AttentionParams, Z: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, dict]:
     """Per-row feature attention: softmax weights multiplied into the row.
 
@@ -200,24 +263,33 @@ def attention_forward(
         raise ValueError(
             f"attention weight must be square on width {Z.shape[1]}, got {p.W_a.shape}"
         )
-    scores = Z @ p.W_a.T + p.b_a
-    A = softmax_rows(scores)
-    out = A * Z
+    ws = Workspace() if ws is None else ws
+    m, w = Z.shape
+    scores = np.matmul(Z, p.W_a.T, out=ws.get(p, "A", m, w))
+    scores += p.b_a
+    A = softmax_rows(scores, out=scores)
+    out = np.multiply(A, Z, out=ws.get(p, "out", m, w))
     return out, {"A": A, "Z": Z}
 
 
 def attention_backward(
-    p: AttentionParams, cache: dict, dout: np.ndarray
+    p: AttentionParams, cache: dict, dout: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(dZ, dW_a, db_a)``; dZ includes the path through the scores."""
+    ws = Workspace() if ws is None else ws
     A = cache["A"]
     Z = cache["Z"]
-    dA = dout * Z
-    # row-wise softmax jacobian: dS = A * (dA - <dA, A>)
-    dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-    dZ = dout * A + dS @ p.W_a
-    dW_a = dS.T @ Z
-    db_a = dS.sum(axis=0)
+    m, w = dout.shape
+    scratch = ws.get(p, "scratch", m, w)
+    # row-wise softmax jacobian: dS = A * (dA - <dA, A>), with dA = dout * Z
+    dS = np.multiply(dout, Z, out=ws.get(p, "dS", m, w))
+    dot = np.multiply(dS, A, out=scratch).sum(axis=1, keepdims=True, out=ws.get(p, "dot", m, 1))
+    dS -= dot
+    dS *= A
+    dZ = np.multiply(dout, A, out=ws.get(p, "dZ", m, w))
+    dZ += np.matmul(dS, p.W_a, out=scratch)
+    dW_a = np.matmul(dS.T, Z, out=ws.get(p, "dW_a", w, w))
+    db_a = np.sum(dS, axis=0, out=ws.get(p, "db_a", w))
     return dZ, dW_a, db_a
 
 
@@ -226,20 +298,22 @@ def residual_block_forward(
     x: np.ndarray,
     mode: str,
     update_running: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """``relu( bn2(affine2(relu(bn1(affine1(x))))) + shortcut(x) )``.
 
     The shortcut is the identity when input and output widths match,
     otherwise the block's projection affine.
     """
-    a1 = affine_forward(p.affine1, x)
-    n1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, update_running)
-    r1 = relu(n1)
-    a2 = affine_forward(p.affine2, r1)
-    n2, bn2_cache = batchnorm_forward(p.bn2, a2, mode, update_running)
-    shortcut = affine_forward(p.projection, x) if p.projection is not None else x
-    pre = n2 + shortcut
-    out = relu(pre)
+    ws = Workspace() if ws is None else ws
+    a1 = affine_forward(p.affine1, x, ws)
+    n1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, update_running, ws)
+    r1 = relu(n1, out=ws.get(p, "r1", *n1.shape))
+    a2 = affine_forward(p.affine2, r1, ws)
+    n2, bn2_cache = batchnorm_forward(p.bn2, a2, mode, update_running, ws)
+    shortcut = affine_forward(p.projection, x, ws) if p.projection is not None else x
+    pre = np.add(n2, shortcut, out=ws.get(p, "pre", *n2.shape))
+    out = relu(pre, out=ws.get(p, "out", *pre.shape))
     cache = {
         "x": x,
         "bn1": bn1_cache,
@@ -252,16 +326,17 @@ def residual_block_forward(
 
 
 def residual_block_backward(
-    p: ResidualBlockParams, cache: dict, dout: np.ndarray
+    p: ResidualBlockParams, cache: dict, dout: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Returns ``(dx, grads)`` with grads keyed affine1.W, affine1.b, ...
     in the order of the block's fields."""
-    dpre = relu_backward(cache["pre"], dout)
-    dn2, dg2, db2 = batchnorm_backward(p.bn2, cache["bn2"], dpre)
-    dr1, dW2, dbias2 = affine_backward(p.affine2, cache["r1"], dn2)
-    dn1 = relu_backward(cache["n1"], dr1)
-    da1, dg1, db1 = batchnorm_backward(p.bn1, cache["bn1"], dn1)
-    dx, dW1, dbias1 = affine_backward(p.affine1, cache["x"], da1)
+    ws = Workspace() if ws is None else ws
+    dpre = relu_backward(cache["pre"], dout, out=ws.get(p, "dpre", *dout.shape))
+    dn2, dg2, db2 = batchnorm_backward(p.bn2, cache["bn2"], dpre, ws)
+    dr1, dW2, dbias2 = affine_backward(p.affine2, cache["r1"], dn2, ws)
+    dn1 = relu_backward(cache["n1"], dr1, out=ws.get(p, "dn1", *dr1.shape))
+    da1, dg1, db1 = batchnorm_backward(p.bn1, cache["bn1"], dn1, ws)
+    dx, dW1, dbias1 = affine_backward(p.affine1, cache["x"], da1, ws)
     grads = {
         "affine1.W": dW1,
         "affine1.b": dbias1,
@@ -273,10 +348,10 @@ def residual_block_backward(
         "bn2.beta": db2,
     }
     if p.projection is not None:
-        dshort, dWp, dbp = affine_backward(p.projection, cache["x"], dpre)
+        dshort, dWp, dbp = affine_backward(p.projection, cache["x"], dpre, ws)
         grads["projection.W"] = dWp
         grads["projection.b"] = dbp
-        dx = dx + dshort
+        dx += dshort
     else:
-        dx = dx + dpre
+        dx += dpre
     return dx, grads

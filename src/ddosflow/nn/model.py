@@ -22,6 +22,7 @@ from .layers import (
     AttentionParams,
     BatchNormParams,
     ResidualBlockParams,
+    Workspace,
     affine_forward,
     affine_backward,
     attention_forward,
@@ -195,6 +196,7 @@ def model_forward(
     mode: str = "infer",
     update_running: bool = True,
     want_cache: bool = False,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, tuple | None]:
     """Run the network, returning one logit per row.
 
@@ -203,27 +205,36 @@ def model_forward(
     ``(X, [(block_cache, attention_cache or None), ...], h_last)``.
     Forward is deterministic: the same parameters and batch give
     bitwise-identical logits.
+
+    The logits and every cached array live in the workspace ``ws``: with
+    a caller's workspace they are views that its next pass over this model
+    overwrites; without one they belong to a fresh workspace, so the
+    caller owns them.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"expected input of width {model.n_features}, got shape {X.shape}"
         )
+    ws = Workspace() if ws is None else ws
     steps = []
-    h = affine_forward(model.input_affine, X)
+    h = affine_forward(model.input_affine, X, ws)
     for block in model.blocks:
-        h, block_cache = residual_block_forward(block, h, mode, update_running)
+        h, block_cache = residual_block_forward(block, h, mode, update_running, ws)
         attn_cache = None
         if block.attention is not None:
-            h, attn_cache = attention_forward(block.attention, h)
+            h, attn_cache = attention_forward(block.attention, h, ws)
         if want_cache:
             steps.append((block_cache, attn_cache))
-    logits = affine_forward(model.output_affine, h)[:, 0]
+    logits = affine_forward(model.output_affine, h, ws)[:, 0]
     return logits, ((X, steps, h) if want_cache else None)
 
 
 def model_backward(
-    model: ModelParams, cache: tuple, dlogits: np.ndarray
+    model: ModelParams,
+    cache: tuple,
+    dlogits: np.ndarray,
+    ws: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Reverse-mode gradients for every trainable tensor.
 
@@ -231,23 +242,30 @@ def model_backward(
     ``want_cache=True`` on the same batch. Returns a dict keyed exactly
     like :func:`named_parameters`, in its order: each layer's gradients
     come in the order of its fields.
+
+    The gradients live in the workspace ``ws``: with a caller's workspace
+    they are views that its next backward pass overwrites; without one
+    they belong to a fresh workspace, so the caller owns them.
     """
     if cache is None:
         raise ValueError("model_backward requires the forward cache")
+    ws = Workspace() if ws is None else ws
     X, steps, h_last = cache
     dh, *output_grads = affine_backward(
-        model.output_affine, h_last, dlogits.reshape(-1, 1)
+        model.output_affine, h_last, dlogits.reshape(-1, 1), ws
     )
     block_grads: list[np.ndarray] = []
     for block, (block_cache, attn_cache) in zip(model.blocks[::-1], steps[::-1]):
         attn_grads = []
         if block.attention is not None:
-            dh, *attn_grads = attention_backward(block.attention, attn_cache, dh)
-        dh, grads = residual_block_backward(block, block_cache, dh)
+            dh, *attn_grads = attention_backward(block.attention, attn_cache, dh, ws)
+        dh, grads = residual_block_backward(block, block_cache, dh, ws)
         # prepended: blocks are visited last to first
         block_grads[:0] = [*grads.values(), *attn_grads]
-    _, *input_grads = affine_backward(model.input_affine, X, dh)
-    names = [name for name, _ in named_parameters(model)]
+    _, *input_grads = affine_backward(model.input_affine, X, dh, ws)
+    names = ws.names.get(model)
+    if names is None:
+        names = ws.names[model] = [name for name, _ in named_parameters(model)]
     return dict(zip(names, input_grads + block_grads + output_grads, strict=True))
 
 
@@ -260,12 +278,16 @@ def model_loss(
     anchors: np.ndarray | None = None,
     update_running: bool = True,
     want_grads: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Forward plus objective, optionally with parameter gradients."""
+    """Forward plus objective, optionally with parameter gradients.
+
+    The gradients belong to the caller unless ``ws`` is given; then, as
+    with :func:`model_backward`, they are views into its buffers."""
     logits, cache = model_forward(
-        model, X, mode=mode, update_running=update_running, want_cache=want_grads
+        model, X, mode=mode, update_running=update_running, want_cache=want_grads, ws=ws
     )
     loss, dlogits = apply_loss(logits, y, spec, anchors=anchors)
     if not want_grads:
         return loss, None
-    return loss, model_backward(model, cache, dlogits)
+    return loss, model_backward(model, cache, dlogits, ws)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import Workspace
 from .model import ModelParams, named_parameters
 
 __all__ = ["OptimizerState", "init_optimizer", "adagrad_step"]
@@ -40,16 +41,23 @@ def adagrad_step(
     state: OptimizerState,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
+    ws: Workspace | None = None,
 ) -> None:
     """One update: ``G += g**2`` then ``w -= eta * g / sqrt(G + eps)``.
 
     The accumulator is folded in before the update, so the step uses the
-    post-accumulation G. Parameters and state are updated in place.
+    post-accumulation G. Parameters and state are updated in place; the
+    temporaries are two buffers of ``ws`` (or of a fresh workspace).
     """
+    ws = Workspace() if ws is None else ws
     for name, w in params.items():
         g = grads[name]
         if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         G = state.accum[name]
-        G += g * g
-        w -= state.eta * g / np.sqrt(G + state.eps_opt)
+        step = ws.get(state, "step", g.size).reshape(g.shape)
+        denom = ws.get(state, "denom", g.size).reshape(g.shape)
+        G += np.multiply(g, g, out=step)
+        np.multiply(g, state.eta, out=step)
+        step /= np.sqrt(np.add(G, state.eps_opt, out=denom), out=denom)
+        w -= step

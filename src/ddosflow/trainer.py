@@ -21,6 +21,7 @@ from .nn import (
     LossSpec,
     ModelParams,
     OptimizerState,
+    Workspace,
     adagrad_step,
     init_optimizer,
     model_forward,
@@ -104,19 +105,42 @@ class TrainReport:
     wall_time_s: float
 
 
+# rows per forward pass when scoring; of 128 to 4096 rows, 256 scored
+# 40000 rows fastest (8 and 78 features, default widths, one BLAS thread)
+SCORE_CHUNK = 256
+
+
 def predict_proba(
-    model: ModelParams, X: np.ndarray, chunk_size: int = 4096
+    model: ModelParams,
+    X: np.ndarray,
+    chunk_size: int = SCORE_CHUNK,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
-    """Attack probability per row, inference mode (running BN stats)."""
+    """Attack probability per row, inference mode (running BN stats).
+
+    Rows are scored ``chunk_size`` at a time through one workspace (``ws``,
+    or a fresh one) whose buffers every chunk reuses; the last chunk also
+    takes the rows left over, so no pass is shorter than a chunk. The
+    returned array is a new one that the caller owns.
+
+    BLAS can round a row of a matrix product differently in the last bit
+    when the product has few rows, or a row count that is not a multiple
+    of its kernel's block. With OpenBLAS 0.3.31, chunks of 256, 512, 1024
+    or 4096 rows give every row the score of one pass over all rows;
+    chunks of 1, 7, 511 or 513 rows do not.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"expected (n, {model.n_features}) features, got {X.shape}"
         )
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for start in range(0, X.shape[0], chunk_size):
-        stop = min(start + chunk_size, X.shape[0])
-        logits, _ = model_forward(model, X[start:stop], mode="infer")
+    ws = Workspace() if ws is None else ws
+    n = X.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    # every chunk but the last starts at least chunk_size rows before the end
+    starts = range(0, max(n - chunk_size + 1, min(n, 1)), chunk_size)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        logits, _ = model_forward(model, X[start:stop], mode="infer", ws=ws)
         out[start:stop] = sigmoid(logits)
     return out
 
@@ -127,9 +151,9 @@ def classify(proba: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _epoch_accuracy(
-    model: ModelParams, X: np.ndarray, y: np.ndarray, threshold: float
+    model: ModelParams, X: np.ndarray, y: np.ndarray, threshold: float, ws: Workspace
 ) -> float:
-    pred = classify(predict_proba(model, X), threshold)
+    pred = classify(predict_proba(model, X, ws=ws), threshold)
     return float((pred == y).mean())
 
 
@@ -145,7 +169,11 @@ def _run_epochs(
     anchors: np.ndarray | None = None,
 ) -> tuple[ModelParams, TrainReport]:
     """Mini-batch Adagrad on ``dataset`` for one phase, updating ``model``
-    in place; without a caller's rng/opt, a fresh stream and accumulator."""
+    in place; without a caller's rng/opt, a fresh stream and accumulator.
+
+    One workspace serves every step and accuracy pass of the phase, so
+    after the first epoch a step allocates no batch, activation or
+    gradient arrays."""
     if dataset.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
     if rng is None:
@@ -153,26 +181,35 @@ def _run_epochs(
     if opt is None:
         opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
     t0 = time.perf_counter()
-    X, y, n = dataset.features, dataset.labels, dataset.n_rows
+    X, n = dataset.features, dataset.n_rows
+    # the losses take float targets; converted once, not once per batch
+    y = dataset.labels.astype(np.float64)
     params = dict(named_parameters(model))
+    ws = Workspace()
     records: list[EpochRecord] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_anchors = anchors[idx] if anchors is not None else None
+            m = idx.size
+            # the indices are in range; mode "raise" would gather into a temporary
+            X_b = np.take(X, idx, axis=0, out=ws.get("batch", "X", m, X.shape[1]), mode="clip")
+            y_b = np.take(y, idx, out=ws.get("batch", "y", m), mode="clip")
+            a_b = None
+            if anchors is not None:
+                a_b = np.take(anchors, idx, out=ws.get("batch", "anchors", m), mode="clip")
             loss, grads = model_loss(
-                model, X[idx], y[idx], spec, mode="train", anchors=batch_anchors
+                model, X_b, y_b, spec, mode="train", anchors=a_b, ws=ws
             )
-            adagrad_step(opt, params, grads)
-            loss_sum += loss * idx.size
+            adagrad_step(opt, params, grads, ws)
+            loss_sum += loss * m
         records.append(
             EpochRecord(
                 phase=phase,
                 epoch=epoch,
                 loss=loss_sum / n,
-                accuracy=_epoch_accuracy(model, X, y, cfg.threshold),
+                accuracy=_epoch_accuracy(model, X, dataset.labels, cfg.threshold, ws),
             )
         )
     return model, TrainReport(tuple(records), time.perf_counter() - t0)

@@ -124,7 +124,8 @@ def test_train_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-# sha256 of each artifact of a `train` run on make_data()'s CSV, recorded
+# sha256 of each artifact of a `train` run on make_data()'s CSV, and of the
+# `evaluate --out` report and `predict` CSV of its model on a capture, recorded
 # with NumPy 2.4.6 (scipy-openblas 0.3.31). A refactor that is meant to keep
 # behaviour must keep these bytes; a change that moves floats on purpose
 # re-records them and says so. Another BLAS or NumPy build may round a
@@ -138,6 +139,8 @@ PINNED_ARTIFACTS = {
             "train_report.csv": "1932924986db565a678a113786fcdd85d1cc421ce73777120d51e30151be4657",
             "eval_report.txt": "b20b79b9263738ac150647bc9794b650cf78f92477eb46fd7ea4995f3117e4ed",
             "eval_report.kv": "a020ade51020d616d0b659a88697f087eb8a17c690bb0b7010213186a3642388",
+            "capture_report.kv": "35f57fd21ebc97837c54c2454c6a65d40edadee22947dcac4daf37906831b16f",
+            "predictions.csv": "91acb343e838c922fa5084e13fe502e3923d667167781429f4a2596e18e06631",
         },
     ),
     # projection shortcut on block 1 and an attention layer after each block
@@ -148,6 +151,8 @@ PINNED_ARTIFACTS = {
             "train_report.csv": "ae8a491508a4093ad49b8a9f073d1f6e8f097bcf5943663dff6e8ef20ca0a894",
             "eval_report.txt": "b011a3a6ccdac9230ef1b23908b192cb79a7aded0d97bacaaf40f676f744521f",
             "eval_report.kv": "e14b7d195209a2338757f250b6dc170fc3a5ad887cfbf1ef252318c889ef9b40",
+            "capture_report.kv": "01da2e3f82e0cf96938f2399d7179e7d2962ae56a6b07b8d09577edb06cf5af8",
+            "predictions.csv": "1414d9e7c7b79a1d752c5d4384b3cf51d4343cc332995681c695f7b20474d537",
         },
     ),
 }
@@ -160,6 +165,12 @@ def test_train_artifacts_match_pinned_digests(tmp_path, wiring):
     cfg = write_fast_config(tmp_path, **sections)
     rc, outdir = run_train(tmp_path, data, config=cfg)
     assert rc == 0
+    # the trained model scores a capture that spans several scoring chunks
+    capture = make_data(tmp_path, "capture.csv", seed=1, majority=1200, minority=100)
+    model = str(outdir / "model.txt")
+    report, predictions = outdir / "capture_report.kv", outdir / "predictions.csv"
+    assert main(["evaluate", "--model", model, "--data", capture, "--out", str(report)]) == 0
+    assert main(["predict", "--model", model, "--data", capture, "--out", str(predictions)]) == 0
     got = {
         name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
         for name in digests
@@ -210,6 +221,24 @@ def test_train_one_class_test_split_fails_before_training(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "split: test split has 8 benign and 0 attack rows" in err
     assert "split.stratify" in err
+    assert not (outdir / "model.txt").exists()
+    assert not (outdir / "train_report.csv").exists()
+
+
+def test_train_split_with_one_minority_row_fails_before_smote(tmp_path, capsys):
+    # stratified, 40 benign + 2 attack rows leave one attack row for
+    # training; SMOTE interpolates between two, so the split stage stops
+    data = make_data(tmp_path, majority=40, minority=2)
+    cfg = write_fast_config(
+        tmp_path,
+        train={"epochs_phase1": 3, "epochs_phase2": 3},
+        split={"seed": 0, "stratify": True},
+    )
+    rc, outdir = run_train(tmp_path, data, config=cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "split: training split has 32 benign and 1 attack rows" in err
+    assert "SMOTE needs at least 2 rows of each class" in err
     assert not (outdir / "model.txt").exists()
     assert not (outdir / "train_report.csv").exists()
 

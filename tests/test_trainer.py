@@ -10,8 +10,10 @@ from ddosflow.nn import (
     ArchitectureConfig,
     LossSpec,
     init_model,
+    model_forward,
     named_parameters,
     named_state,
+    sigmoid,
 )
 from ddosflow.trainer import (
     TrainConfig,
@@ -279,6 +281,18 @@ def test_predict_proba_chunking_invariant():
     chunked = predict_proba(model, ds.features, chunk_size=7)
     np.testing.assert_array_equal(full, chunked)
     assert ((full > 0) & (full < 1)).all()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 520, 1030, 4097])
+def test_predict_proba_matches_one_pass_over_all_rows(n):
+    """Chunks of 256 to 4096 rows, the last one taking the leftover rows,
+    give every row the bits of one forward pass over all rows."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    model = init_model(8, ArchitectureConfig())
+    X = rng.standard_normal((n, 8)) * 2.0
+    one_pass = sigmoid(model_forward(model, X)[0])
+    for chunk_size in (256, 512, 1024, 4096):
+        assert predict_proba(model, X, chunk_size=chunk_size).tobytes() == one_pass.tobytes()
 
 
 def test_predict_proba_width_mismatch():
