@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -393,6 +394,13 @@ def _zero_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
     return np.insert(out, starts[size == 0], ord("0")).tobytes().decode()
 
 
+def _check_unique(path: str, wanted: Sequence[str], header: Sequence[str]) -> None:
+    """Raise DataError naming each of ``wanted`` that ``header`` holds twice."""
+    twice = sorted({n for n in wanted if header.count(n) > 1})
+    if twice:
+        raise DataError(f"{path}: duplicate column names: {', '.join(twice)}")
+
+
 def load_flow_csv(
     path: str,
     label_column: str = "Label",
@@ -430,7 +438,8 @@ def load_flow_csv(
 
     Raises:
         DataError: missing header or label column, unknown label token
-            (named with its row), ragged row, or zero numeric columns.
+            (named with its row), ragged row, zero numeric columns, or two
+            kept columns of one name.
         OSError: the file cannot be read.
     """
     benign = benign_token.strip().casefold()
@@ -452,8 +461,10 @@ def load_flow_csv(
     keep = np.flatnonzero(evidence)
     if not keep.size:
         raise DataError(f"{path}: no numeric feature columns found")
+    kept_names = tuple(col_names[j] for j in keep)
+    _check_unique(path, kept_names, kept_names)
     dataset = FlowDataset(
-        feature_names=tuple(col_names[j] for j in keep),
+        feature_names=kept_names,
         features=features.take(keep, axis=1),  # C-ordered, one copy
         labels=labels,
     )
@@ -475,7 +486,7 @@ def load_feature_matrix(
 
     Raises:
         DataError: missing header, any requested column absent (all
-            absentees listed), ragged row, or no data rows.
+            absentees listed) or present twice, ragged row, or no data rows.
         OSError: the file cannot be read.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -485,6 +496,7 @@ def load_feature_matrix(
             raise DataError(
                 f"{path}: missing feature columns: {', '.join(sorted(missing))}"
             )
+        _check_unique(path, feature_names, names)
         take = [names.index(n) for n in feature_names]
         features, _, _, row_numbers = _read_rows(fh, path, len(names), take)
     return features, row_numbers.tolist()

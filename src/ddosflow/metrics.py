@@ -145,7 +145,8 @@ def build_report(
     """Assemble the full report from thresholded predictions and raw scores.
 
     AUC uses the continuous scores, not the thresholded predictions, so
-    it can differ from accuracy.
+    it can differ from accuracy. When the truth holds one class the AUC
+    is undefined; it is then reported as 0 and flagged.
     """
     c = confusion(pred, truth)
     degenerate = []
@@ -157,13 +158,16 @@ def build_report(
     r = recall(c)
     if p + r == 0:
         degenerate.append("f1")
+    one_class = c.tp + c.fn == 0 or c.tn + c.fp == 0
+    if one_class:
+        degenerate.append("roc_auc")
     return EvalReport(
         counts=c,
         accuracy=accuracy(c),
         precision=p,
         recall=r,
         f1=f1(p, r),
-        roc_auc=roc_auc(scores, truth),
+        roc_auc=0.0 if one_class else roc_auc(scores, truth),
         degenerate_metrics=tuple(degenerate),
     )
 

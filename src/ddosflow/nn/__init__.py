@@ -1,26 +1,11 @@
 """From-scratch dense numeric engine: layers, losses, model assembly,
-Adagrad, reverse-mode gradients, gradient checking, and persistence."""
+Adagrad, reverse-mode gradients, gradient checking, and persistence.
 
-from .layers import (
-    AffineParams,
-    AttentionParams,
-    BatchNormParams,
-    ResidualBlockParams,
-    Workspace,
-    affine_forward,
-    affine_backward,
-    attention_forward,
-    attention_backward,
-    batchnorm_forward,
-    batchnorm_backward,
-    relu,
-    relu_backward,
-    residual_block_forward,
-    residual_block_backward,
-    sigmoid,
-    softmax_rows,
-)
-from .losses import BCE_CLAMP, LossSpec, anchored_loss, apply_loss, bce_loss, dice_loss
+The package exports the model-level API; per-layer functions and
+parameter classes are imported from :mod:`ddosflow.nn.layers`."""
+
+from .layers import Workspace, sigmoid
+from .losses import LossSpec, anchored_loss, apply_loss, bce_loss, dice_loss
 from .model import (
     ArchitectureConfig,
     ModelParams,
@@ -29,37 +14,18 @@ from .model import (
     model_forward,
     model_loss,
     named_parameters,
-    named_state,
 )
 from .optim import OptimizerState, adagrad_step, init_optimizer
-from .gradcheck import GradCheckReport, gradient_check
-from .persist import FORMAT_VERSION, load_model, save_model
+from .gradcheck import gradient_check
+from .persist import load_model, save_model
 
 __all__ = [
-    "AffineParams",
-    "AttentionParams",
-    "BatchNormParams",
-    "ResidualBlockParams",
-    "Workspace",
     "ArchitectureConfig",
     "ModelParams",
     "OptimizerState",
-    "GradCheckReport",
+    "Workspace",
     "LossSpec",
-    "BCE_CLAMP",
-    "FORMAT_VERSION",
-    "affine_forward",
-    "affine_backward",
-    "attention_forward",
-    "attention_backward",
-    "batchnorm_forward",
-    "batchnorm_backward",
-    "relu",
-    "relu_backward",
-    "residual_block_forward",
-    "residual_block_backward",
     "sigmoid",
-    "softmax_rows",
     "bce_loss",
     "dice_loss",
     "anchored_loss",
@@ -69,7 +35,6 @@ __all__ = [
     "model_backward",
     "model_loss",
     "named_parameters",
-    "named_state",
     "init_optimizer",
     "adagrad_step",
     "gradient_check",

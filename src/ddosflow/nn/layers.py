@@ -4,7 +4,7 @@ residual block, each with a hand-derived backward pass.
 Everything operates on float64 row-major matrices of shape
 (batch, features). Forward functions return ``(out, cache)`` where the
 cache holds exactly the intermediates the matching backward needs.
-Batch norm is the only stateful piece: in train mode it can update its
+Batch norm is the only stateful piece: in train mode it updates its
 running statistics in place (single-writer training loop only).
 
 Every forward and backward writes its results and temporaries into the
@@ -170,15 +170,13 @@ def batchnorm_forward(
     p: BatchNormParams,
     x: np.ndarray,
     mode: str,
-    update_running: bool = True,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Normalize per column, scale by gamma, shift by beta.
 
     ``mode="train"`` normalizes by the batch's own mean and population
-    variance and (unless ``update_running`` is False) folds them into the
-    running statistics; ``mode="infer"`` normalizes by the running
-    statistics and never mutates anything.
+    variance and folds them into the running statistics; ``mode="infer"``
+    normalizes by the running statistics and never mutates anything.
 
     Raises:
         ValueError: train mode with a batch of fewer than 2 rows, or an
@@ -200,12 +198,11 @@ def batchnorm_forward(
         var = np.sum(squares, axis=0, out=ws.get(p, "var", w))
         var /= m
         np.add(var, p.eps_bn, out=inv)
-        if update_running:
-            step = ws.get(p, "step", w)
-            p.running_mean *= p.momentum
-            p.running_mean += np.multiply(mean, 1.0 - p.momentum, out=step)
-            p.running_var *= p.momentum
-            p.running_var += np.multiply(var, 1.0 - p.momentum, out=step)
+        step = ws.get(p, "step", w)
+        p.running_mean *= p.momentum
+        p.running_mean += np.multiply(mean, 1.0 - p.momentum, out=step)
+        p.running_var *= p.momentum
+        p.running_var += np.multiply(var, 1.0 - p.momentum, out=step)
     elif mode == "infer":
         centred = np.subtract(x, p.running_mean, out=out)
         np.add(p.running_var, p.eps_bn, out=inv)
@@ -297,7 +294,6 @@ def residual_block_forward(
     p: ResidualBlockParams,
     x: np.ndarray,
     mode: str,
-    update_running: bool = True,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """``relu( bn2(affine2(relu(bn1(affine1(x))))) + shortcut(x) )``.
@@ -307,10 +303,10 @@ def residual_block_forward(
     """
     ws = Workspace() if ws is None else ws
     a1 = affine_forward(p.affine1, x, ws)
-    n1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, update_running, ws)
+    n1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, ws)
     r1 = relu(n1, out=ws.get(p, "r1", *n1.shape))
     a2 = affine_forward(p.affine2, r1, ws)
-    n2, bn2_cache = batchnorm_forward(p.bn2, a2, mode, update_running, ws)
+    n2, bn2_cache = batchnorm_forward(p.bn2, a2, mode, ws)
     shortcut = affine_forward(p.projection, x, ws) if p.projection is not None else x
     pre = np.add(n2, shortcut, out=ws.get(p, "pre", *n2.shape))
     out = relu(pre, out=ws.get(p, "out", *pre.shape))
@@ -327,30 +323,20 @@ def residual_block_forward(
 
 def residual_block_backward(
     p: ResidualBlockParams, cache: dict, dout: np.ndarray, ws: Workspace | None = None
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns ``(dx, grads)`` with grads keyed affine1.W, affine1.b, ...
-    in the order of the block's fields."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns ``(dx, grads)``: the block's parameter gradients in the order
+    of its fields (affine1, bn1, affine2, bn2, then projection if any)."""
     ws = Workspace() if ws is None else ws
     dpre = relu_backward(cache["pre"], dout, out=ws.get(p, "dpre", *dout.shape))
-    dn2, dg2, db2 = batchnorm_backward(p.bn2, cache["bn2"], dpre, ws)
-    dr1, dW2, dbias2 = affine_backward(p.affine2, cache["r1"], dn2, ws)
+    dn2, *bn2_grads = batchnorm_backward(p.bn2, cache["bn2"], dpre, ws)
+    dr1, *affine2_grads = affine_backward(p.affine2, cache["r1"], dn2, ws)
     dn1 = relu_backward(cache["n1"], dr1, out=ws.get(p, "dn1", *dr1.shape))
-    da1, dg1, db1 = batchnorm_backward(p.bn1, cache["bn1"], dn1, ws)
-    dx, dW1, dbias1 = affine_backward(p.affine1, cache["x"], da1, ws)
-    grads = {
-        "affine1.W": dW1,
-        "affine1.b": dbias1,
-        "bn1.gamma": dg1,
-        "bn1.beta": db1,
-        "affine2.W": dW2,
-        "affine2.b": dbias2,
-        "bn2.gamma": dg2,
-        "bn2.beta": db2,
-    }
+    da1, *bn1_grads = batchnorm_backward(p.bn1, cache["bn1"], dn1, ws)
+    dx, *grads = affine_backward(p.affine1, cache["x"], da1, ws)
+    grads += bn1_grads + affine2_grads + bn2_grads
     if p.projection is not None:
-        dshort, dWp, dbp = affine_backward(p.projection, cache["x"], dpre, ws)
-        grads["projection.W"] = dWp
-        grads["projection.b"] = dbp
+        dshort, *projection_grads = affine_backward(p.projection, cache["x"], dpre, ws)
+        grads += projection_grads
         dx += dshort
     else:
         dx += dpre

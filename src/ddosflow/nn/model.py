@@ -194,7 +194,6 @@ def model_forward(
     model: ModelParams,
     X: np.ndarray,
     mode: str = "infer",
-    update_running: bool = True,
     want_cache: bool = False,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, tuple | None]:
@@ -220,7 +219,7 @@ def model_forward(
     steps = []
     h = affine_forward(model.input_affine, X, ws)
     for block in model.blocks:
-        h, block_cache = residual_block_forward(block, h, mode, update_running, ws)
+        h, block_cache = residual_block_forward(block, h, mode, ws)
         attn_cache = None
         if block.attention is not None:
             h, attn_cache = attention_forward(block.attention, h, ws)
@@ -261,7 +260,7 @@ def model_backward(
             dh, *attn_grads = attention_backward(block.attention, attn_cache, dh, ws)
         dh, grads = residual_block_backward(block, block_cache, dh, ws)
         # prepended: blocks are visited last to first
-        block_grads[:0] = [*grads.values(), *attn_grads]
+        block_grads[:0] = grads + attn_grads
     _, *input_grads = affine_backward(model.input_affine, X, dh, ws)
     names = ws.names.get(model)
     if names is None:
@@ -276,7 +275,6 @@ def model_loss(
     spec: LossSpec,
     mode: str = "train",
     anchors: np.ndarray | None = None,
-    update_running: bool = True,
     want_grads: bool = True,
     ws: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
@@ -284,9 +282,7 @@ def model_loss(
 
     The gradients belong to the caller unless ``ws`` is given; then, as
     with :func:`model_backward`, they are views into its buffers."""
-    logits, cache = model_forward(
-        model, X, mode=mode, update_running=update_running, want_cache=want_grads, ws=ws
-    )
+    logits, cache = model_forward(model, X, mode=mode, want_cache=want_grads, ws=ws)
     loss, dlogits = apply_loss(logits, y, spec, anchors=anchors)
     if not want_grads:
         return loss, None

@@ -66,8 +66,11 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
     """Read a model file; returns ``(model, extra_manifest)``.
 
     Raises:
-        ValueError: unrecognized magic/version, malformed tensor block,
-            or tensors that do not match the declared architecture.
+        ValueError: unrecognized magic/version, a manifest that is not a
+            JSON object, lacks ``architecture`` or ``n_features`` or holds
+            an architecture that :class:`ArchitectureConfig` rejects, a
+            malformed tensor block, or tensors that do not match the
+            declared architecture.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -79,11 +82,17 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
     if len(lines) < 2 or not lines[1].startswith("manifest "):
         raise ValueError(f"{path}: missing manifest line")
     manifest = json.loads(lines[1][len("manifest "):])
-
-    arch_dict = dict(manifest.pop("architecture"))
-    arch_dict["block_widths"] = tuple(arch_dict["block_widths"])
-    arch = ArchitectureConfig(**arch_dict)
-    n_features = int(manifest.pop("n_features"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    try:
+        arch_dict = dict(manifest.pop("architecture"))
+        arch_dict["block_widths"] = tuple(arch_dict["block_widths"])
+        arch = ArchitectureConfig(**arch_dict)
+        n_features = int(manifest.pop("n_features"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: manifest rejected: {exc}") from None
     model = _alloc_model(n_features, arch)
     expected = dict(named_parameters(model) + named_state(model))
 

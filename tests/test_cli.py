@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ddosflow.cli import main
 from ddosflow.config import default_config, dumps_config, loads_config
+from ddosflow.nn import load_model
 
 
 FAST_CONFIG = {
@@ -249,6 +251,14 @@ def test_train_empty_csv(tmp_path, capsys):
     assert main(["train", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_train_duplicate_header_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "dup.csv"
+    p.write_text("a,a,Label\n1,2,BENIGN\n3,4,DDoS\n")
+    assert main(["train", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "load: " in err and "duplicate column names: a" in err
+
+
 # --------------------------------------------------------------- evaluate
 
 @pytest.fixture
@@ -308,6 +318,58 @@ def test_evaluate_corrupt_model(tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+def _bogus_architecture_key(manifest):
+    manifest["architecture"]["bogus"] = 1
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda manifest: list(manifest), "manifest is not a JSON object"),
+        (_drop("architecture"), "manifest lacks 'architecture'"),
+        (_drop("n_features"), "manifest lacks 'n_features'"),
+        (_bogus_architecture_key, "manifest rejected: .*bogus"),
+    ],
+    ids=["not-an-object", "no-architecture", "no-n_features", "unknown-architecture-key"],
+)
+def test_evaluate_malformed_manifest_is_named(trained, tmp_path, capsys, edit, message):
+    data, model = trained
+    lines = open(model).read().splitlines()
+    manifest = edit(json.loads(lines[1][len("manifest "):]))
+    lines[1] = "manifest " + json.dumps(manifest)
+    bad = tmp_path / "bad_manifest.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_model(str(bad))
+    assert main(["evaluate", "--model", str(bad), "--data", data]) == 1
+    assert re.search(f"error: load-model: .*{message}", capsys.readouterr().err)
+
+
+def test_evaluate_scores_a_one_class_capture(trained, tmp_path, capsys):
+    data, model = trained
+    benign = make_data(tmp_path, name="benign.csv", seed=5, majority=200, minority=2)
+    rows = open(benign).read().splitlines()
+    rows = rows[:1] + [r for r in rows[1:] if r.endswith(",BENIGN")]
+    assert len(rows) == 1 + 200
+    only = tmp_path / "benign_only.csv"
+    only.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "eval.kv"
+    rc = main(["evaluate", "--model", model, "--data", str(only), "--out", str(out)])
+    assert rc == 0
+    kv = dict(line.split("=", 1) for line in out.read_text().strip().splitlines())
+    assert kv["roc_auc"] == "0.0"
+    assert "roc_auc" in kv["degenerate"].split(",")
+    assert int(kv["tn"]) + int(kv["fp"]) == 200
+
+
 # ---------------------------------------------------------------- predict
 
 def test_predict_scores_every_clean_row(trained, tmp_path, capsys):
@@ -363,6 +425,18 @@ def test_predict_ignores_extra_columns(trained, tmp_path):
     main(["predict", "--model", model, "--data", data, "--out", str(base)])
     main(["predict", "--model", model, "--data", str(augmented), "--out", str(plus)])
     assert base.read_bytes() == plus.read_bytes()
+
+
+def test_predict_duplicate_feature_column(trained, tmp_path, capsys):
+    _, model = trained
+    dup = tmp_path / "dup.csv"
+    dup.write_text(
+        "feature_0,feature_1,feature_2,feature_3,feature_1\n"
+        "1,2,3,4,5\n6,7,8,9,10\n"
+    )
+    rc = main(["predict", "--model", model, "--data", str(dup), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "duplicate column names: feature_1" in capsys.readouterr().err
 
 
 def test_predict_missing_feature_column(trained, tmp_path, capsys):

@@ -128,6 +128,24 @@ def test_load_feature_matrix_subset_and_order(tmp_path):
     assert np.isnan(X[1, 1]) and X[1, 0] == 3
 
 
+def test_duplicate_kept_column_named(tmp_path):
+    path = _write(tmp_path, "a,a,Label\n1,2,BENIGN\n3,4,DDoS\n")
+    with pytest.raises(DataError, match=r"duplicate column names: a$"):
+        load_flow_csv(path)
+    # a dropped (non-numeric) twin does not clash with the kept column
+    path = _write(tmp_path, "a,a,Label\n1,x,BENIGN\n3,y,DDoS\n", name="twin.csv")
+    ds, dropped = load_flow_csv(path)
+    assert ds.feature_names == ("a",) and dropped == ["a"]
+
+
+def test_load_feature_matrix_duplicate_requested_column_named(tmp_path):
+    path = _write(tmp_path, "a,b,a\n1,2,3\n4,5,6\n")
+    with pytest.raises(DataError, match=r"duplicate column names: a$"):
+        load_feature_matrix(path, ("a", "b"))
+    X, _ = load_feature_matrix(path, ("b",))  # an unrequested twin is ignored
+    np.testing.assert_array_equal(X[:, 0], [2, 5])
+
+
 def test_load_feature_matrix_missing_columns_listed(tmp_path):
     path = _write(tmp_path, "a,Label\n1,BENIGN\n")
     with pytest.raises(DataError, match=r"missing feature columns: b, c"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ddosflow.nn import (
+from ddosflow.nn.layers import (
     AffineParams,
     AttentionParams,
     BatchNormParams,
@@ -172,15 +172,6 @@ def test_bn_running_stats_momentum_update():
     )
 
 
-def test_bn_update_running_flag():
-    p = _bn(2)
-    before = (p.running_mean.copy(), p.running_var.copy())
-    rng = np.random.Generator(np.random.PCG64(6))
-    batchnorm_forward(p, rng.normal(size=(8, 2)), "train", update_running=False)
-    np.testing.assert_array_equal(p.running_mean, before[0])
-    np.testing.assert_array_equal(p.running_var, before[1])
-
-
 def test_bn_infer_uses_running_stats():
     p = _bn(2, gamma=[2.0, 1.0], beta=[0.5, 0.0])
     p.running_mean[:] = [1.0, -1.0]
@@ -297,5 +288,5 @@ def test_block_matches_straight_line_oracle(mode, widths):
     p.bn2.running_mean[:] = rng.normal(size=n_out)
     p.bn2.running_var[:] = rng.random(n_out) + 0.5
     x = rng.normal(size=(7, n_in))
-    out, _ = residual_block_forward(p, x, mode, update_running=False)
+    out, _ = residual_block_forward(p, x, mode)
     np.testing.assert_allclose(out, straight_line_block(p, x, mode), rtol=1e-12)

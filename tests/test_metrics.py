@@ -193,6 +193,16 @@ def test_build_report_flags_degenerate_ratios():
     assert "f1" in report.degenerate_metrics
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_build_report_one_class_truth_flags_auc(label):
+    truth = np.full(4, label)
+    scores = np.array([0.9, 0.6, 0.3, 0.1])
+    report = build_report((scores > 0.5).astype(np.int64), scores, truth)
+    assert report.roc_auc == 0.0
+    assert "roc_auc" in report.degenerate_metrics
+    assert report.accuracy == 0.5
+
+
 def test_report_table_contents():
     pred = np.array([1, 1, 0, 0])
     truth = np.array([1, 0, 0, 1])

@@ -8,9 +8,9 @@ from ddosflow.nn import (
     init_model,
     load_model,
     named_parameters,
-    named_state,
     save_model,
 )
+from ddosflow.nn.model import named_state
 
 
 @pytest.fixture

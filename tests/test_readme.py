@@ -1,7 +1,9 @@
-"""README's "Library use" snippet runs as written against the package."""
+"""README's "Quick start" commands and "Library use" snippet run as
+written against the package."""
 
 import pathlib
 import re
+import shlex
 
 import numpy as np
 
@@ -11,10 +13,30 @@ from ddosflow.smote import synthesize
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _library_snippet():
+def _code_block(heading, language):
     text = README.read_text()
-    section = text[text.index("## Library use") :]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    section = text[text.index(heading) :]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _library_snippet():
+    return _code_block("## Library use", "python")
+
+
+def test_quick_start_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)
+        for line in _code_block("## Quick start", "sh").splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    assert [argv[:2] for argv in commands] == [
+        ["ddosflow", name] for name in ("synth", "train", "evaluate", "predict", "gradcheck")
+    ]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "run" / "model.txt").is_file()
+    assert (tmp_path / "predictions.csv").read_text().startswith("row,probability,label\n")
 
 
 def test_library_use_snippet_runs(tmp_path, monkeypatch, capsys):

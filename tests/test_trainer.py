@@ -12,9 +12,9 @@ from ddosflow.nn import (
     init_model,
     model_forward,
     named_parameters,
-    named_state,
     sigmoid,
 )
+from ddosflow.nn.model import named_state
 from ddosflow.trainer import (
     TrainConfig,
     TrainReport,

@@ -10,22 +10,24 @@ import pytest
 
 from ddosflow.nn import (
     ArchitectureConfig,
-    AttentionParams,
     LossSpec,
     Workspace,
     adagrad_step,
-    affine_backward,
-    affine_forward,
-    attention_backward,
-    attention_forward,
-    batchnorm_backward,
-    batchnorm_forward,
     init_model,
     init_optimizer,
     model_backward,
     model_forward,
     model_loss,
     named_parameters,
+)
+from ddosflow.nn.layers import (
+    AttentionParams,
+    affine_backward,
+    affine_forward,
+    attention_backward,
+    attention_forward,
+    batchnorm_backward,
+    batchnorm_forward,
     relu_backward,
 )
 from ddosflow.nn import model as model_module
