@@ -92,6 +92,37 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _manifest_entry(extra: dict, key: str, parse):
+    """``parse(extra[key])``, or a DataError naming the missing or
+    malformed entry."""
+    if key not in extra:
+        raise DataError(f"model file lacks manifest entry {key!r}")
+    try:
+        return parse(extra[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"manifest entry {key!r} is malformed: {exc}") from exc
+
+
+def _column_names(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise TypeError("expected a list of column names")
+    return tuple(value)
+
+
+def _vector(value: object) -> np.ndarray:
+    vector = np.asarray(value, dtype=np.float64)
+    if vector.ndim != 1:
+        raise TypeError("expected a list of numbers")
+    return vector
+
+
+def _probability(value: object) -> float:
+    p = float(value)  # type: ignore[arg-type]
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{p} does not lie in (0, 1)")
+    return p
+
+
 def _scoring_model(
     args: argparse.Namespace,
 ) -> tuple[ModelParams, dict, ScalerParams, tuple[str, ...], float]:
@@ -99,16 +130,13 @@ def _scoring_model(
     (``--threshold`` overrides the last)."""
     with _stage("load-model"):
         model, extra = load_model(args.model)
-        try:
-            names = tuple(extra["feature_names"])
-            scaler = ScalerParams(
-                means=np.asarray(extra["scaler_means"], dtype=np.float64),
-                stds=np.asarray(extra["scaler_stds"], dtype=np.float64),
-                fitted_on=int(extra["scaler_fitted_on"]),
-            )
-            threshold = float(extra["threshold"])
-        except KeyError as exc:
-            raise DataError(f"model file lacks manifest entry {exc}") from exc
+        names = _manifest_entry(extra, "feature_names", _column_names)
+        scaler = ScalerParams(
+            means=_manifest_entry(extra, "scaler_means", _vector),
+            stds=_manifest_entry(extra, "scaler_stds", _vector),
+            fitted_on=_manifest_entry(extra, "scaler_fitted_on", int),
+        )
+        threshold = _manifest_entry(extra, "threshold", _probability)
     if args.threshold is not None:
         if not 0.0 < args.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")

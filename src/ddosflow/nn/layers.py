@@ -16,12 +16,14 @@ views that the next pass over the same layer overwrites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Workspace",
+    "end_to_end",
     "AffineParams",
     "BatchNormParams",
     "AttentionParams",
@@ -32,12 +34,15 @@ __all__ = [
     "softmax_rows",
     "affine_forward",
     "affine_backward",
+    "affine_param_backward",
     "batchnorm_forward",
     "batchnorm_backward",
     "attention_forward",
     "attention_backward",
     "residual_block_forward",
     "residual_block_backward",
+    "rotating_workspace",
+    "bind_backward_buffers",
 ]
 
 
@@ -48,21 +53,67 @@ class Workspace:
     the buffer that ``owner`` (a parameter object, or any hashable key)
     keeps under ``role``. A buffer is allocated at the rows of its first
     use and again only when a call needs more rows or other columns, so
-    batches of at most the first batch's size reuse it. ``names`` keeps
-    each model's gradient names, so a backward pass walks the parameter
-    tree once per model and workspace.
+    batches of at most the first batch's size reuse it. ``bind`` makes an
+    existing array such a buffer, so that layers write where the caller
+    chooses. ``uncached`` holds, per model, the workspace of its passes
+    that keep no backward cache (:func:`rotating_workspace`) and the rows
+    it was made for; ``backward_rows`` holds, per model, the rows for which
+    its backward temporaries are bound to shared buffers
+    (:func:`bind_backward_buffers`).
+
+    The gradients of one model share one flat vector, ``arena``, end to end
+    in :func:`~ddosflow.nn.model.named_parameters` order. ``gradients`` maps
+    each tensor's name to its view of the arena; ``lay_out`` makes each
+    view the buffer that its layer's backward pass writes (a layer keeps
+    the gradient of its field ``f`` under the role ``"d" + f``), so Adagrad
+    can update every tensor with whole-vector operations.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple[object, str], np.ndarray] = {}
-        self.names: dict[object, list[str]] = {}
+        self.arena = np.empty(0)
+        self.arena_key: object = None
+        self.gradients: dict[str, np.ndarray] = {}
+        self.uncached: dict[object, tuple[int, Workspace]] = {}
+        self.backward_rows: dict[object, int] = {}
 
     def get(self, owner: object, role: str, rows: int, *cols: int) -> np.ndarray:
         key = (owner, role)
         buf = self._buffers.get(key)
         if buf is None or buf.shape[0] < rows or buf.shape[1:] != cols:
             buf = self._buffers[key] = np.empty((rows, *cols))
-        return buf[:rows]
+        return buf if buf.shape[0] == rows else buf[:rows]
+
+    def bind(self, owner: object, role: str, buf: np.ndarray) -> None:
+        self._buffers[owner, role] = buf
+
+    def lay_out(
+        self, key: object, slots: list[tuple[str, tuple[int, ...], object, str]]
+    ) -> dict[str, np.ndarray]:
+        """Give the gradients of ``slots``, ``(name, shape, owner, role)``
+        each, a new arena, laid end to end in order, and bind each view as
+        ``owner``'s ``role`` buffer (none where ``owner`` is None).
+        ``arena_key`` records whose layout the arena holds."""
+        self.arena, self.gradients = end_to_end({name: shape for name, shape, _, _ in slots})
+        self.arena_key = key
+        for name, _, owner, role in slots:
+            if owner is not None:
+                self.bind(owner, role, self.gradients[name])
+        return self.gradients
+
+
+def end_to_end(
+    shapes: dict[str, tuple[int, ...]],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One flat vector of zeros and, per name, its view of the given shape,
+    the views laid end to end in order."""
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return flat, views
 
 
 @dataclass(eq=False)
@@ -161,9 +212,18 @@ def affine_backward(
     """Returns ``(dx, dW, db)`` for the cached input ``x``."""
     ws = Workspace() if ws is None else ws
     dx = np.matmul(dout, p.W, out=ws.get(p, "dx", *x.shape))
+    return (dx, *affine_param_backward(p, x, dout, ws))
+
+
+def affine_param_backward(
+    p: AffineParams, x: np.ndarray, dout: np.ndarray, ws: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Returns ``(dW, db)`` alone, for a layer whose input gradient no one
+    reads (the network's input layer)."""
+    ws = Workspace() if ws is None else ws
     dW = np.matmul(dout.T, x, out=ws.get(p, "dW", *p.W.shape))
     db = np.sum(dout, axis=0, out=ws.get(p, "db", *p.b.shape))
-    return dx, dW, db
+    return dW, db
 
 
 def batchnorm_forward(
@@ -302,22 +362,19 @@ def residual_block_forward(
     otherwise the block's projection affine.
     """
     ws = Workspace() if ws is None else ws
+    # each batch norm and ReLU works in place in the output of the layer
+    # before it, which nothing else reads; ReLU keeps the sign of its
+    # input, so its output is also the mask for its backward pass
     a1 = affine_forward(p.affine1, x, ws)
-    n1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, ws)
-    r1 = relu(n1, out=ws.get(p, "r1", *n1.shape))
+    ws.bind(p.bn1, "out", a1)
+    r1, bn1_cache = batchnorm_forward(p.bn1, a1, mode, ws)
+    relu(r1, out=r1)
     a2 = affine_forward(p.affine2, r1, ws)
-    n2, bn2_cache = batchnorm_forward(p.bn2, a2, mode, ws)
-    shortcut = affine_forward(p.projection, x, ws) if p.projection is not None else x
-    pre = np.add(n2, shortcut, out=ws.get(p, "pre", *n2.shape))
-    out = relu(pre, out=ws.get(p, "out", *pre.shape))
-    cache = {
-        "x": x,
-        "bn1": bn1_cache,
-        "n1": n1,
-        "r1": r1,
-        "bn2": bn2_cache,
-        "pre": pre,
-    }
+    ws.bind(p.bn2, "out", a2)
+    out, bn2_cache = batchnorm_forward(p.bn2, a2, mode, ws)
+    out += affine_forward(p.projection, x, ws) if p.projection is not None else x
+    relu(out, out=out)
+    cache = {"x": x, "bn1": bn1_cache, "r1": r1, "bn2": bn2_cache, "out": out}
     return out, cache
 
 
@@ -327,10 +384,10 @@ def residual_block_backward(
     """Returns ``(dx, grads)``: the block's parameter gradients in the order
     of its fields (affine1, bn1, affine2, bn2, then projection if any)."""
     ws = Workspace() if ws is None else ws
-    dpre = relu_backward(cache["pre"], dout, out=ws.get(p, "dpre", *dout.shape))
+    dpre = relu_backward(cache["out"], dout, out=ws.get(p, "dpre", *dout.shape))
     dn2, *bn2_grads = batchnorm_backward(p.bn2, cache["bn2"], dpre, ws)
     dr1, *affine2_grads = affine_backward(p.affine2, cache["r1"], dn2, ws)
-    dn1 = relu_backward(cache["n1"], dr1, out=ws.get(p, "dn1", *dr1.shape))
+    dn1 = relu_backward(cache["r1"], dr1, out=ws.get(p, "dn1", *dr1.shape))
     da1, *bn1_grads = batchnorm_backward(p.bn1, cache["bn1"], dn1, ws)
     dx, *grads = affine_backward(p.affine1, cache["x"], da1, ws)
     grads += bn1_grads + affine2_grads + bn2_grads
@@ -341,3 +398,76 @@ def residual_block_backward(
     else:
         dx += dpre
     return dx, grads
+
+
+def _bind_shared(ws: Workspace, rows: int, plan: list[tuple[int, object, str, int]]) -> Workspace:
+    """Bind each ``(k, owner, role, cols)`` of ``plan`` (none where
+    ``owner`` is None) as a ``rows`` by ``cols`` view of the k-th of a few
+    shared buffers."""
+    width = max(cols for _, owner, _, cols in plan if owner is not None)
+    flats = [np.empty(rows * width) for _ in range(1 + max(k for k, *_ in plan))]
+    for k, owner, role, cols in plan:
+        if owner is not None:
+            ws.bind(owner, role, flats[k][: rows * cols].reshape(rows, cols))
+    return ws
+
+
+def rotating_workspace(
+    first: AffineParams, blocks: list[ResidualBlockParams], rows: int
+) -> Workspace:
+    """A workspace for passes of up to ``rows`` rows through ``first`` and
+    then ``blocks`` (with their attention) that keep no backward cache.
+
+    Its activation buffers are views of three shared buffers, bound under
+    the roles by which the layer functions above ask for them, so that no
+    buffer is written while its contents are still to be read. ``first``
+    writes buffer ``h``. A block reads its input from ``h`` (kept for the
+    shortcut) and computes its first stage in ``a`` and its second in
+    ``b`` (its batch norms and ReLUs work in place), keeping each batch
+    norm's squares and ``xhat`` in the third buffer; the projection
+    shortcut goes into ``a`` once ``affine2`` has read it. The block's
+    output and its attention stay in ``b``, the next block's input, and
+    the attention scores take ``a``.
+    """
+    plan = [(0, first, "out", first.W.shape[0])]
+    h = 0
+    for block in blocks:
+        a, b = (h + 1) % 3, (h + 2) % 3
+        w = block.bn1.gamma.size
+        plan += [
+            (a, block.affine1, "out", w), (b, block.bn1, "xhat", w),
+            (b, block.affine2, "out", w), (a, block.bn2, "xhat", w),
+            (a, block.projection, "out", w),
+            (a, block.attention, "A", w), (b, block.attention, "out", w),
+        ]
+        h = b
+    return _bind_shared(Workspace(), rows, plan)
+
+
+def bind_backward_buffers(
+    ws: Workspace, last: AffineParams, blocks: list[ResidualBlockParams], rows: int
+) -> Workspace:
+    """Bind ``ws``'s buffers for backward passes of up to ``rows`` rows from
+    ``last`` back through ``blocks`` (with their attention) to five
+    shared buffers, so that every block's temporaries reuse the same ones.
+
+    ``G`` holds the gradient that flows between layers: ``last``'s input
+    gradient, each attention's (computed in place) and each block's. In a
+    block, ``P`` keeps the gradient before the output ReLU for the
+    shortcut, ``T1`` and ``T2`` take the stages in turn, and ``S`` is each
+    batch norm's scratch; the block's input gradient goes into ``G``,
+    whose incoming gradient the output ReLU has read.
+    """
+    G, P, T1, T2, S = range(5)
+    plan = [(G, last, "dx", last.W.shape[1])]
+    for block in blocks:
+        w, w_in = block.bn1.gamma.size, block.affine1.W.shape[1]
+        plan += [
+            (G, block.attention, "dZ", w), (T1, block.attention, "dS", w),
+            (T2, block.attention, "scratch", w),
+            (P, block, "dpre", w), (T1, block.bn2, "dx", w), (S, block.bn2, "scratch", w),
+            (T2, block.affine2, "dx", w), (T1, block, "dn1", w),
+            (T2, block.bn1, "dx", w), (S, block.bn1, "scratch", w),
+            (G, block.affine1, "dx", w_in), (T1, block.projection, "dx", w_in),
+        ]
+    return _bind_shared(ws, rows, plan)

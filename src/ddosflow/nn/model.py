@@ -25,10 +25,13 @@ from .layers import (
     Workspace,
     affine_forward,
     affine_backward,
+    affine_param_backward,
     attention_forward,
     attention_backward,
     residual_block_forward,
     residual_block_backward,
+    rotating_workspace,
+    bind_backward_buffers,
 )
 from .losses import LossSpec, apply_loss
 
@@ -190,6 +193,17 @@ def named_state(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     return [(n, t) for n, t in pairs if n.endswith(_STATE_SUFFIXES)]
 
 
+def _uncached_workspace(model: ModelParams, ws: Workspace, rows: int) -> Workspace:
+    """The workspace of ``ws`` for passes of ``model`` that keep no cache,
+    made once per model and workspace and again when a pass needs more
+    rows (see :func:`~ddosflow.nn.layers.rotating_workspace`)."""
+    capacity, inner = ws.uncached.get(model, (0, None))
+    if inner is None or capacity < rows:
+        inner = rotating_workspace(model.input_affine, model.blocks, rows)
+        ws.uncached[model] = (rows, inner)
+    return inner
+
+
 def model_forward(
     model: ModelParams,
     X: np.ndarray,
@@ -203,12 +217,15 @@ def model_forward(
     :func:`model_backward` and is shaped like the model:
     ``(X, [(block_cache, attention_cache or None), ...], h_last)``.
     Forward is deterministic: the same parameters and batch give
-    bitwise-identical logits.
+    bitwise-identical logits, with or without a cache.
 
     The logits and every cached array live in the workspace ``ws``: with
     a caller's workspace they are views that its next pass over this model
     overwrites; without one they belong to a fresh workspace, so the
-    caller owns them.
+    caller owns them. A pass with a cache keeps every layer's output; a
+    pass without one runs the same layer functions on three rotating
+    activation buffers, so a large batch holds about three activations at
+    once (see :func:`~ddosflow.nn.layers.rotating_workspace`).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -216,6 +233,8 @@ def model_forward(
             f"expected input of width {model.n_features}, got shape {X.shape}"
         )
     ws = Workspace() if ws is None else ws
+    if not want_cache:
+        ws = _uncached_workspace(model, ws, X.shape[0])
     steps = []
     h = affine_forward(model.input_affine, X, ws)
     for block in model.blocks:
@@ -229,6 +248,28 @@ def model_forward(
     return logits, ((X, steps, h) if want_cache else None)
 
 
+def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> dict[str, np.ndarray]:
+    """``ws``'s gradient views for ``model``, laid out once per model and
+    workspace: tensor ``<path>.<field>`` is the ``d<field>`` buffer of the
+    layer at ``<path>``, so the backward passes write into the arena. The
+    passes' temporaries are bound to shared buffers
+    (:func:`~ddosflow.nn.layers.bind_backward_buffers`), again when a pass
+    needs more rows."""
+    if ws.arena_key is not model:
+        slots = []
+        for name, tensor in named_parameters(model):
+            *path, field = name.split(".")
+            owner = model
+            for part in path:
+                owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
+            slots.append((name, tensor.shape, owner, "d" + field))
+        ws.lay_out(model, slots)
+    if ws.backward_rows.get(model, 0) < rows:
+        bind_backward_buffers(ws, model.output_affine, model.blocks, rows)
+        ws.backward_rows[model] = rows
+    return ws.gradients
+
+
 def model_backward(
     model: ModelParams,
     cache: tuple,
@@ -240,15 +281,18 @@ def model_backward(
     ``cache`` must come from a :func:`model_forward` call with
     ``want_cache=True`` on the same batch. Returns a dict keyed exactly
     like :func:`named_parameters`, in its order: each layer's gradients
-    come in the order of its fields.
+    come in the order of its fields. No input gradient is computed for
+    the input layer.
 
-    The gradients live in the workspace ``ws``: with a caller's workspace
-    they are views that its next backward pass overwrites; without one
-    they belong to a fresh workspace, so the caller owns them.
+    The gradients are the views of the workspace's gradient arena
+    (:class:`Workspace`): with a caller's workspace its next backward pass
+    overwrites them; without one they belong to a fresh workspace, so the
+    caller owns them.
     """
     if cache is None:
         raise ValueError("model_backward requires the forward cache")
     ws = Workspace() if ws is None else ws
+    names = _backward_buffers(model, ws, dlogits.shape[0])
     X, steps, h_last = cache
     dh, *output_grads = affine_backward(
         model.output_affine, h_last, dlogits.reshape(-1, 1), ws
@@ -261,10 +305,7 @@ def model_backward(
         dh, grads = residual_block_backward(block, block_cache, dh, ws)
         # prepended: blocks are visited last to first
         block_grads[:0] = grads + attn_grads
-    _, *input_grads = affine_backward(model.input_affine, X, dh, ws)
-    names = ws.names.get(model)
-    if names is None:
-        names = ws.names[model] = [name for name, _ in named_parameters(model)]
+    input_grads = list(affine_param_backward(model.input_affine, X, dh, ws))
     return dict(zip(names, input_grads + block_grads + output_grads, strict=True))
 
 

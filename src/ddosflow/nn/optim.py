@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Workspace
+from .layers import Workspace, end_to_end
 from .model import ModelParams, named_parameters
 
 __all__ = ["OptimizerState", "init_optimizer", "adagrad_step"]
@@ -14,14 +14,17 @@ __all__ = ["OptimizerState", "init_optimizer", "adagrad_step"]
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Learning rate, smoothing term, and the per-tensor accumulator.
+    """Learning rate, smoothing term, and the accumulator.
 
-    ``accum`` maps parameter names to the running sum of squared
-    gradients; entries are non-negative and non-decreasing over steps.
+    ``G`` is the running sum of squared gradients of every tensor, one flat
+    vector laid out in :func:`named_parameters` order, and ``accum`` maps
+    each parameter name to its view of ``G``; entries are non-negative and
+    non-decreasing over steps.
     """
 
     eta: float = 0.01
     eps_opt: float = 1e-10
+    G: np.ndarray = field(default_factory=lambda: np.zeros(0))
     accum: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -33,8 +36,15 @@ def init_optimizer(
         raise ValueError(f"eta must be positive, got {eta}")
     if eps_opt < 0.0:
         raise ValueError(f"eps_opt must be non-negative, got {eps_opt}")
-    accum = {name: np.zeros_like(tensor) for name, tensor in named_parameters(model)}
-    return OptimizerState(eta=eta, eps_opt=eps_opt, accum=accum)
+    G, accum = end_to_end({name: tensor.shape for name, tensor in named_parameters(model)})
+    return OptimizerState(eta=eta, eps_opt=eps_opt, G=G, accum=accum)
+
+
+def _laid_out_like(gradients: dict[str, np.ndarray], accum: dict[str, np.ndarray]) -> bool:
+    return len(gradients) == len(accum) and all(
+        name == other and g.shape == a.shape
+        for (name, g), (other, a) in zip(gradients.items(), accum.items())
+    )
 
 
 def adagrad_step(
@@ -46,18 +56,45 @@ def adagrad_step(
     """One update: ``G += g**2`` then ``w -= eta * g / sqrt(G + eps)``.
 
     The accumulator is folded in before the update, so the step uses the
-    post-accumulation G. Parameters and state are updated in place; the
-    temporaries are two buffers of ``ws`` (or of a fresh workspace).
+    post-accumulation G. Parameters and state are updated in place.
+
+    The gradients are read from the gradient arena of ``ws`` (or of a
+    fresh workspace), laid out like ``state.G``. A gradient that is not
+    already its arena view, as :func:`model_backward` returns them, is
+    copied in. Whole-vector operations then update the accumulator and
+    build the step over the span of the arena from the first tensor in
+    ``params`` to the last, and each tensor takes its part of the step. A
+    tensor of that span missing from ``params`` counts with gradient 0,
+    which leaves its accumulator as it is.
     """
     ws = Workspace() if ws is None else ws
-    for name, w in params.items():
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        G = state.accum[name]
-        step = ws.get(state, "step", g.size).reshape(g.shape)
-        denom = ws.get(state, "denom", g.size).reshape(g.shape)
-        G += np.multiply(g, g, out=step)
-        np.multiply(g, state.eta, out=step)
-        step /= np.sqrt(np.add(G, state.eps_opt, out=denom), out=denom)
-        w -= step
+    arena = ws.gradients
+    if not _laid_out_like(arena, state.accum):
+        slots = [(name, a.shape, None, "") for name, a in state.accum.items()]
+        arena = ws.lay_out(state, slots)
+    spans, offset = [], 0
+    for name, view in arena.items():
+        w = params.get(name)
+        if w is None:
+            view.fill(0.0)
+        else:
+            g = grads[name]
+            if g.shape != w.shape:
+                raise ValueError(f"gradient shape mismatch for {name}")
+            if g is not view:
+                view[...] = g
+            spans.append((w, offset, offset + view.size))
+        offset += view.size
+    if len(spans) != len(params):
+        raise KeyError(f"no accumulator for {sorted(set(params) - set(arena))}")
+    if not spans:
+        return
+    lo, hi = spans[0][1], spans[-1][2]
+    g, G = ws.arena[lo:hi], state.G[lo:hi]
+    step = ws.get(state, "step", g.size)
+    denom = ws.get(state, "denom", g.size)
+    G += np.multiply(g, g, out=step)
+    np.multiply(g, state.eta, out=step)
+    step /= np.sqrt(np.add(G, state.eps_opt, out=denom), out=denom)
+    for w, start, stop in spans:
+        w -= step[start - lo : stop - lo].reshape(w.shape)

@@ -120,7 +120,9 @@ def predict_proba(
 
     Rows are scored ``chunk_size`` at a time through one workspace (``ws``,
     or a fresh one) whose buffers every chunk reuses; the last chunk also
-    takes the rows left over, so no pass is shorter than a chunk. The
+    takes the rows left over, so no pass is shorter than a chunk. Each
+    pass keeps no backward cache, so its activations rotate through three
+    buffers of the chunk's rows, which stay in cache between layers. The
     returned array is a new one that the caller owns.
 
     BLAS can round a row of a matrix product differently in the last bit

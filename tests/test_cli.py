@@ -353,6 +353,33 @@ def test_evaluate_malformed_manifest_is_named(trained, tmp_path, capsys, edit, m
     assert re.search(f"error: load-model: .*{message}", capsys.readouterr().err)
 
 
+def _set(key, value):
+    def edit(manifest):
+        manifest[key] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize(
+    "edit, entry",
+    [(_set("threshold", None), "threshold"), (_set("feature_names", 5), "feature_names")],
+    ids=["threshold-null", "feature_names-int"],
+)
+def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys, edit, entry, command):
+    data, model = trained
+    lines = open(model).read().splitlines()
+    lines[1] = "manifest " + json.dumps(edit(json.loads(lines[1][len("manifest "):])))
+    bad = tmp_path / "bad_entry.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    load_model(str(bad))  # the model itself still loads
+    out = tmp_path / "out.txt"
+    assert main([command, "--model", str(bad), "--data", data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: load-model: manifest entry '{entry}' is malformed" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_scores_a_one_class_capture(trained, tmp_path, capsys):
     data, model = trained
     benign = make_data(tmp_path, name="benign.csv", seed=5, majority=200, minority=2)

@@ -29,9 +29,13 @@ from ddosflow.nn.layers import (
     batchnorm_backward,
     batchnorm_forward,
     relu_backward,
+    residual_block_backward,
 )
+from ddosflow.flow_data import FlowDataset
 from ddosflow.nn import model as model_module
-from ddosflow.trainer import predict_proba
+from ddosflow.nn.model import named_state
+from ddosflow import trainer
+from ddosflow.trainer import TrainConfig, predict_proba, run_dual_phase
 
 
 # ----------------------------------------- the allocating code, as reference
@@ -195,6 +199,55 @@ def test_shared_workspace_trains_like_fresh_workspaces(arch):
         assert_same_bits([proba_a], [predict_proba(fresh, score_rows, chunk_size=64)])
 
 
+@pytest.mark.parametrize("mode", ["infer", "train"])
+@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+def test_uncached_pass_gives_the_cached_logits(arch, mode):
+    """The pass without a cache runs the layers on three rotating buffers;
+    its logits (and, in train mode, running statistics) are those of the
+    pass that keeps every activation, through a shared workspace too, on
+    full chunks and on a leftover chunk of between 1 and 2 chunks' rows."""
+    rng = np.random.Generator(np.random.PCG64(10))
+    rotating, keeping = init_model(5, arch), init_model(5, arch)
+    for (_, a), (_, b) in zip(named_state(rotating), named_state(keeping)):
+        a[:] = b[:] = rng.uniform(0.5, 2.0, a.shape)
+    ws = Workspace()
+    X = rows(rng, 3 * 64 + 37, 5)
+    for start, stop in ((0, 64), (64, 128), (128, X.shape[0]), (0, 64)):
+        got, cache = model_forward(rotating, X[start:stop], mode=mode, ws=ws)
+        want, _ = model_forward(keeping, X[start:stop], mode=mode, want_cache=True)
+        assert cache is None
+        assert_same_bits([got], [want])
+        assert_same_bits([t for _, t in named_state(rotating)], [t for _, t in named_state(keeping)])
+    if mode == "infer":
+        proba = predict_proba(rotating, X, chunk_size=64, ws=ws)
+        assert_same_bits([proba[128:]], [predict_proba(keeping, X[128:], chunk_size=101)])
+
+
+@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+def test_backward_through_shared_buffers_matches_layer_by_layer(arch):
+    """model_backward, whose blocks share five temporaries and write the
+    gradients into one arena, gives the bits of the layers' backward
+    passes each run with a fresh workspace, on a full and a shorter batch."""
+    rng = np.random.Generator(np.random.PCG64(13))
+    shared, twin = init_model(5, arch), init_model(5, arch)
+    ws = Workspace()
+    for m in (40, 23, 40):
+        X, dlogits = rows(rng, m, 5), rng.standard_normal(m)
+        _, cache = model_forward(shared, X, mode="train", want_cache=True, ws=ws)
+        got = model_backward(shared, cache, dlogits, ws)
+        _, (_, steps, h_last) = model_forward(twin, X, mode="train", want_cache=True)
+        dh, *want_output = affine_backward(twin.output_affine, h_last, dlogits.reshape(-1, 1))
+        want_blocks = []
+        for block, (block_cache, attn_cache) in zip(twin.blocks[::-1], steps[::-1]):
+            attn = []
+            if block.attention is not None:
+                dh, *attn = attention_backward(block.attention, attn_cache, dh)
+            dh, grads = residual_block_backward(block, block_cache, dh)
+            want_blocks[:0] = grads + attn
+        _, *want_input = affine_backward(twin.input_affine, X, dh)
+        assert_same_bits(list(got.values()), want_input + want_blocks + want_output)
+
+
 def test_gradients_without_a_workspace_belong_to_the_caller():
     model = init_model(5, WIRINGS[1])
     rng = np.random.Generator(np.random.PCG64(7))
@@ -223,6 +276,43 @@ def test_backward_names_the_gradients_once_per_model(monkeypatch):
         grads = model_backward(model, cache, np.ones_like(logits), ws)
     assert len(walks) == 1
     assert list(grads) == [name for name, _ in walk(model)]
+
+
+def flow_blobs(n, d, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = (rng.uniform(size=n) < 0.3).astype(np.int64)
+    features = rng.standard_normal((n, d)) + 1.5 * labels[:, None]
+    return FlowDataset(tuple(f"f{i}" for i in range(d)), features, labels)
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+def test_arena_adagrad_trains_like_the_allocating_reference(monkeypatch, reset):
+    """Two-phase training with the arena Adagrad, fed its own arena views
+    or gradients from outside the arena, gives the bits of the per-tensor
+    reference, across the phase boundary with and without a fresh
+    accumulator."""
+    cfg = TrainConfig(epochs_phase1=2, epochs_phase2=2, batch_size=32, reset_optimizer_phase2=reset)
+    train_set, balanced = flow_blobs(90, 5, 11), flow_blobs(120, 5, 12)
+    arena_step = trainer.adagrad_step
+    steppers = {
+        "arena": arena_step,
+        "outside": lambda opt, params, grads, ws: arena_step(
+            opt, params, {n: g.copy() for n, g in grads.items()}, ws
+        ),
+        "reference": lambda opt, params, grads, ws: ref_adagrad_step(opt, params, grads),
+    }
+    results = {}
+    for name, step in steppers.items():
+        monkeypatch.setattr(trainer, "adagrad_step", step)
+        model = init_model(5, WIRINGS[1])
+        model, report, anchors = run_dual_phase(model, train_set, balanced, cfg)
+        results[name] = model, report.records, anchors
+    want_model, want_records, want_anchors = results.pop("reference")
+    for model, records, anchors in results.values():
+        assert records == want_records
+        assert_same_bits([anchors], [want_anchors])
+        assert_same_bits([t for _, t in named_parameters(model)], [t for _, t in named_parameters(want_model)])
+        assert_same_bits([t for _, t in named_state(model)], [t for _, t in named_state(want_model)])
 
 
 # ------------------------------------------------------ steady-state memory
@@ -263,3 +353,15 @@ def test_steady_state_step_and_scoring_chunk_allocate_no_activations():
     for fn in (step, score):
         fn()
         assert peak_rise(fn) < activation / 2
+
+
+def test_large_uncached_pass_holds_a_few_activations():
+    """A 4096-row pass without a cache or a caller's workspace holds its
+    three rotating buffers and a few row vectors, where the pass with a
+    cache keeps at least four activations per block."""
+    m, width = 4096, 64
+    model = init_model(8, ArchitectureConfig(input_width=width, block_widths=(width,) * 3))
+    X = rows(np.random.Generator(np.random.PCG64(12)), m, 8)
+    activation = m * width * 8
+    assert peak_rise(lambda: model_forward(model, X)) < 3.5 * activation
+    assert peak_rise(lambda: model_forward(model, X, want_cache=True)) > 12 * activation
