@@ -19,6 +19,10 @@ import sys
 
 import numpy as np
 
+# The commands call these by name; perfbench/layers.py replaces them to time each:
+# load_flow_csv clean train_test_split fit_scaler apply_scaler load_feature_matrix
+# oversample init_model run_dual_phase predict_proba save_model load_model
+# write_train_report_csv build_report format_report_table format_report_kv
 from .config import (
     PipelineConfig,
     default_config,
@@ -144,25 +148,19 @@ def _scoring_model(
     return model, extra, scaler, names, threshold
 
 
-def _align_features(ds: FlowDataset, names: tuple[str, ...]) -> FlowDataset:
-    """Reorder dataset columns to the model's feature order; strict set match."""
-    if ds.feature_names == names:
-        return ds
-    present = set(ds.feature_names)
-    required = set(names)
-    missing = sorted(required - present)
-    unexpected = sorted(present - required)
-    if missing or unexpected:
-        raise DataError(
-            "feature columns do not match the model: "
-            f"missing {missing or 'none'}, unexpected {unexpected or 'none'}"
-        )
-    idx = [ds.feature_names.index(n) for n in names]
-    return FlowDataset(
-        feature_names=names,
-        features=np.ascontiguousarray(ds.features[:, idx]),
-        labels=ds.labels.copy(),
-    )
+def _score_report(
+    model: ModelParams, ds: FlowDataset, threshold: float, kv_path: str | None
+) -> str:
+    """Score the scaled rows of ``ds``; print and return the report as a table,
+    and write it as ``key=value`` lines to ``kv_path`` if one is given."""
+    proba = predict_proba(model, ds.features)
+    report = build_report(classify(proba, threshold), proba, ds.labels)
+    if kv_path:
+        with open(kv_path, "w") as fh:
+            fh.write(format_report_kv(report))
+    table = format_report_table(report)
+    print(table)
+    return table
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -186,6 +184,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     os.makedirs(args.out, exist_ok=True)
     model_path = args.model or os.path.join(args.out, "model.txt")
+    os.makedirs(os.path.dirname(model_path) or ".", exist_ok=True)
 
     with _stage("load"):
         raw, dropped = load_flow_csv(
@@ -247,16 +246,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_train_report_csv(report, os.path.join(args.out, "train_report.csv"))
 
     with _stage("evaluate"):
-        proba = predict_proba(model, test_s.features)
-        pred = classify(proba, cfg.train.threshold)
-        eval_report = build_report(pred, proba, test_s.labels)
-        table = format_report_table(eval_report)
+        kv_path = os.path.join(args.out, "eval_report.kv")
+        table = _score_report(model, test_s, cfg.train.threshold, kv_path)
         with open(os.path.join(args.out, "eval_report.txt"), "w") as fh:
             fh.write(table + "\n")
-        with open(os.path.join(args.out, "eval_report.kv"), "w") as fh:
-            fh.write(format_report_kv(eval_report))
-
-    print(table)
     print(f"model: {model_path}")
     print(f"reports: {args.out}/train_report.csv eval_report.txt eval_report.kv")
     return 0
@@ -270,22 +263,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             label_column=extra.get("label_column", "Label"),
             benign_token=extra.get("benign_token", "BENIGN"),
             attack_token=extra.get("attack_token", "DDoS"),
+            columns=names,
         )
     with _stage("clean"):
         ds = clean(raw)
     del raw
-    with _stage("align"):
-        ds = _align_features(ds, names)
-        scaled = apply_scaler(ds, scaler)
     with _stage("evaluate"):
-        proba = predict_proba(model, scaled.features)
-        pred = classify(proba, threshold)
-        report = build_report(pred, proba, scaled.labels)
-
-    print(format_report_table(report))
+        _score_report(model, apply_scaler(ds, scaler), threshold, args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(format_report_kv(report))
         print(f"report: {args.out}")
     return 0
 
@@ -298,8 +283,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with _stage("load"):
         X, row_numbers = load_feature_matrix(args.data, names)
 
-    # rows with unparseable cells are dropped; infinities take the
-    # training-set column mean, matching the training-side cleaning
+    # rows with unparseable cells are dropped; infinities take the scaler's means
     keep = ~np.isnan(X).any(axis=1)
     n_dropped = int((~keep).sum())
     X = X[keep]
@@ -310,9 +294,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if inf_mask.any():
         X = np.where(inf_mask, np.broadcast_to(scaler.means, X.shape), X)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(scaler.stds > 0, (X - scaler.means) / scaler.stds, 0.0)
-    proba = predict_proba(model, scaled)
+    proba = predict_proba(model, scaler.scale(X))
     pred = classify(proba, threshold)
 
     with _stage("write"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -125,6 +126,8 @@ def _coerce(path: str, value, expected):
     if isinstance(expected, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not math.isfinite(value):  # JSON's NaN and Infinity parse
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if isinstance(expected, str):
         if not isinstance(value, str):

@@ -95,6 +95,14 @@ class ScalerParams:
         if np.any(self.stds < 0):
             raise ValueError("stds must be non-negative")
 
+    def scale(self, X: np.ndarray) -> np.ndarray:
+        """``X`` standardized as :func:`apply_scaler` does; a new C-ordered matrix."""
+        if self.means.shape[0] != X.shape[1]:
+            raise ValueError(f"scaler fits {len(self.means)} columns, not {X.shape[1]}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(self.stds > 0, (X - self.means) / self.stds, 0.0)
+        return np.ascontiguousarray(scaled)
+
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -394,11 +402,15 @@ def _zero_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
     return np.insert(out, starts[size == 0], ord("0")).tobytes().decode()
 
 
-def _check_unique(path: str, wanted: Sequence[str], header: Sequence[str]) -> None:
-    """Raise DataError naming each of ``wanted`` that ``header`` holds twice."""
+def _find_columns(path: str, header: Sequence[str], wanted: Sequence[str]) -> list[int]:
+    """Where ``wanted`` sit in ``header``; DataError names those absent or twice."""
+    missing = sorted(set(wanted) - set(header))
+    if missing:
+        raise DataError(f"{path}: missing feature columns: {', '.join(missing)}")
     twice = sorted({n for n in wanted if header.count(n) > 1})
     if twice:
         raise DataError(f"{path}: duplicate column names: {', '.join(twice)}")
+    return [header.index(n) for n in wanted]
 
 
 def load_flow_csv(
@@ -406,6 +418,7 @@ def load_flow_csv(
     label_column: str = "Label",
     benign_token: str = "BENIGN",
     attack_token: str = "DDoS",
+    columns: Sequence[str] | None = None,
 ) -> tuple[FlowDataset, list[str]]:
     """Load a flow CSV, encode labels, and drop non-numeric columns.
 
@@ -431,6 +444,8 @@ def load_flow_csv(
         label_column: Header name of the label column.
         benign_token: Label value encoded as 0.
         attack_token: Label value encoded as 1.
+        columns: Read only these columns, in this order, whatever their
+            cells hold (as :func:`load_feature_matrix` does).
 
     Returns:
         ``(dataset, dropped_columns)`` where ``dropped_columns`` lists the
@@ -438,8 +453,8 @@ def load_flow_csv(
 
     Raises:
         DataError: missing header or label column, unknown label token
-            (named with its row), ragged row, zero numeric columns, or two
-            kept columns of one name.
+            (named with its row), ragged row, zero numeric columns, two
+            kept columns of one name, or a requested column absent.
         OSError: the file cannot be read.
     """
     benign = benign_token.strip().casefold()
@@ -453,16 +468,20 @@ def load_flow_csv(
             raise DataError(f"{path}: label column {label_column!r} not found in header")
         label_idx = names.index(label_column)
         take = [i for i in range(len(names)) if i != label_idx]
+        if columns is not None:
+            take = _find_columns(path, names, columns)
         features, evidence, labels, _ = _read_rows(
             fh, path, len(names), take, label_idx, {benign: 0, attack: 1}
         )
+    if columns is not None:
+        return FlowDataset(tuple(columns), features, labels), []
 
     col_names = [names[i] for i in take]
     keep = np.flatnonzero(evidence)
     if not keep.size:
         raise DataError(f"{path}: no numeric feature columns found")
     kept_names = tuple(col_names[j] for j in keep)
-    _check_unique(path, kept_names, kept_names)
+    _find_columns(path, kept_names, kept_names)  # no two of one name
     dataset = FlowDataset(
         feature_names=kept_names,
         features=features.take(keep, axis=1),  # C-ordered, one copy
@@ -491,13 +510,7 @@ def load_feature_matrix(
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         names = _read_header(fh, path)
-        missing = [n for n in feature_names if n not in names]
-        if missing:
-            raise DataError(
-                f"{path}: missing feature columns: {', '.join(sorted(missing))}"
-            )
-        _check_unique(path, feature_names, names)
-        take = [names.index(n) for n in feature_names]
+        take = _find_columns(path, names, feature_names)
         features, _, _, row_numbers = _read_rows(fh, path, len(names), take)
     return features, row_numbers.tolist()
 
@@ -598,14 +611,7 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
 
 def apply_scaler(ds: FlowDataset, s: ScalerParams) -> FlowDataset:
     """Standardize features: (x - mean) / std, with zero-variance columns set to 0."""
-    if s.means.shape[0] != ds.n_features:
-        raise ValueError(
-            f"scaler has {s.means.shape[0]} columns, dataset has {ds.n_features}"
-        )
-    centered = ds.features - s.means
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(s.stds > 0, centered / s.stds, 0.0)
-    return FlowDataset(ds.feature_names, np.ascontiguousarray(scaled), ds.labels.copy())
+    return FlowDataset(ds.feature_names, s.scale(ds.features), ds.labels.copy())
 
 
 def save_flow_csv(

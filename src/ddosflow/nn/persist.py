@@ -103,27 +103,32 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
         if line == "end":
             break
         parts = line.split()
-        if len(parts) < 4 or parts[0] != "tensor":
+        if len(parts) < 4 or parts[0] != "tensor" or not "".join(parts[2:]).isdecimal():
             raise ValueError(f"{path}: malformed tensor header at line {pos + 1}")
         name, ndim = parts[1], int(parts[2])
         shape = tuple(int(d) for d in parts[3 : 3 + ndim])
         if name not in expected:
             raise ValueError(f"{path}: unknown tensor {name!r}")
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name!r} repeated at line {pos + 1}")
         target = expected[name]
         if target.shape != shape:
             raise ValueError(
                 f"{path}: tensor {name!r} has shape {shape}, expected {target.shape}"
             )
-        n_rows = shape[0] if ndim == 2 else 1
-        n_cols = shape[1] if ndim == 2 else shape[0]
+        n_rows, n_cols = shape if ndim == 2 else (1, *shape)
         block = lines[pos + 1 : pos + 1 + n_rows]
         if len(block) != n_rows:
             raise ValueError(f"{path}: truncated tensor {name!r}")
-        values = np.array(
-            [[float(v) for v in row.split()] for row in block], dtype=np.float64
-        )
-        if values.shape != (n_rows, n_cols):
-            raise ValueError(f"{path}: tensor {name!r} has ragged rows")
+        values = np.empty((n_rows, n_cols))
+        for i, row in enumerate(block):
+            cells = row.split()
+            try:
+                if len(cells) != n_cols:
+                    raise ValueError(f"tensor {name!r} has ragged rows")
+                values[i] = [float(v) for v in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {pos + 2 + i}: {exc}") from None
         target[...] = values.reshape(shape)
         seen.add(name)
         pos += 1 + n_rows

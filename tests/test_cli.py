@@ -211,6 +211,37 @@ def test_train_unparseable_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"train": {"eta": float("nan")}}, "train.eta: expected a finite number, got nan"),
+        ({"train": {"lambda_anchor": float("inf")}}, "train.lambda_anchor: expected a finite"),
+        ({"smote": {"target_ratio": float("-inf")}}, "smote.target_ratio: expected a finite"),
+        ({"architecture": {"bn_eps": -1.0}}, "architecture: bn_eps must be positive"),
+        ({"architecture": {"bn_eps": 0.0}}, "architecture: bn_eps must be positive"),
+        ({"architecture": {"bn_momentum": 7.0}}, "bn_momentum in [0, 1)"),
+        ({"architecture": {"bn_momentum": 1.0}}, "bn_momentum in [0, 1)"),
+    ],
+    ids=["eta-nan", "lambda-inf", "ratio-minus-inf", "eps-negative", "eps-zero",
+         "momentum-7", "momentum-1"],
+)
+def test_train_rejects_a_bad_number_before_reading_data(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))  # writes the JSON extensions NaN and Infinity
+    # the data file does not exist: reading it would exit 2, not 1
+    rc, _ = run_train(tmp_path, str(tmp_path / "absent.csv"), config=str(cfg))
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_train_creates_the_model_files_directory(tmp_path):
+    data = make_data(tmp_path)
+    model = tmp_path / "nodir" / "sub" / "model.txt"
+    rc, _ = run_train(tmp_path, data, config=write_fast_config(tmp_path), extra=["--model", str(model)])
+    assert rc == 0
+    load_model(str(model))
+
+
 def test_train_one_class_test_split_fails_before_training(tmp_path, capsys):
     # 40 benign + 2 attack rows: split seed 0 puts no attack row among the
     # 8 test rows, which would leave AUC undefined after training
@@ -288,9 +319,46 @@ def test_evaluate_rejects_column_mismatch(trained, tmp_path, capsys):
     mangled = tmp_path / "mangled.csv"
     mangled.write_text("\n".join([",".join(header)] + rows[1:]) + "\n")
     assert main(["evaluate", "--model", model, "--data", str(mangled)]) == 2
-    err = capsys.readouterr().err
-    assert "feature columns do not match the model" in err
-    assert "feature_0" in err and "renamed_column" in err
+    assert "missing feature columns: feature_0" in capsys.readouterr().err
+
+
+def pairwise_auc(scores, truth):
+    """Share of (attack, benign) pairs in which the attack scores higher,
+    ties counting half."""
+    pos, neg = scores[truth == 1][:, None], scores[truth == 0][None, :]
+    return ((pos > neg).sum() + 0.5 * (pos == neg).sum()) / (pos.size * neg.size)
+
+
+def test_evaluate_and_predict_score_the_same_rows_of_a_reordered_capture(trained, tmp_path):
+    data, model = trained
+    rows = [line.split(",") for line in open(data).read().splitlines()]
+    columns = dict(zip(rows[0], zip(*rows[1:])))  # feature_0..3, Label
+    n = len(rows) - 1
+    columns["extra_a"] = [str(i * 0.5) for i in range(n)]
+    # NaN and empty cells in a column the model does not use keep their rows
+    columns["extra_b"] = ["nan" if i % 7 == 0 else "" if i % 11 == 0 else "1" for i in range(n)]
+    columns["feature_1"] = ("garbage",) + columns["feature_1"][1:]  # drops row 1
+    order = ["extra_a", "feature_2", "Label", "feature_0", "extra_b", "feature_3", "feature_1"]
+    capture = tmp_path / "capture.csv"
+    capture.write_text(
+        "\n".join([",".join(order)] + [",".join(r) for r in zip(*(columns[c] for c in order))])
+        + "\n"
+    )
+    kv_path, pred_path = tmp_path / "capture.kv", tmp_path / "pred.csv"
+    assert main(["evaluate", "--model", model, "--data", str(capture), "--out", str(kv_path)]) == 0
+    assert main(["predict", "--model", model, "--data", str(capture), "--out", str(pred_path)]) == 0
+
+    kv = dict(line.split("=", 1) for line in kv_path.read_text().splitlines())
+    pred = [line.split(",") for line in pred_path.read_text().splitlines()[1:]]
+    row = np.array([int(r) for r, _, _ in pred])
+    proba = np.array([float(p) for _, p, _ in pred])
+    flagged = np.array([label == "DDoS" for _, _, label in pred])
+    truth = (np.array(columns["Label"]) == "DDoS")[row - 1].astype(np.int64)
+    assert row.tolist() == list(range(2, n + 1))
+    assert [int(kv[k]) for k in ("tp", "fp", "tn", "fn")] == [
+        int(((flagged == f) & (truth == t)).sum()) for f, t in ((1, 1), (1, 0), (0, 0), (0, 1))
+    ]
+    assert float(kv["roc_auc"]) == pytest.approx(pairwise_auc(proba, truth), abs=1e-12)
 
 
 def test_evaluate_threshold_override(trained, tmp_path):
@@ -497,16 +565,3 @@ def test_gradcheck_honors_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gradcheck": {"batch_rows": 4, "block_widths": [6]}}))
     assert main(["gradcheck", "--config", str(cfg)]) == 0
-
-
-# ------------------------------------------------------------- alignment
-
-def test_align_features_keeps_a_dataset_already_in_model_order():
-    from ddosflow.cli import _align_features
-    from ddosflow.flow_data import FlowDataset
-
-    ds = FlowDataset(("a", "b"), np.array([[1.0, 2.0]]), np.array([1]))
-    assert _align_features(ds, ("a", "b")) is ds
-    swapped = _align_features(ds, ("b", "a"))
-    assert swapped.feature_names == ("b", "a")
-    np.testing.assert_array_equal(swapped.features, [[2.0, 1.0]])

@@ -1,5 +1,7 @@
 """Text model files: byte-stable round trips and malformed-input rejection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,36 @@ def test_rejects_non_numeric_cell(model, tmp_path):
     path = write_and_mutate(model, tmp_path, mutate)
     with pytest.raises(ValueError):
         load_model(path)
+
+
+# the smallest model file: one feature, one residual block of width 1
+@pytest.fixture
+def tiny_path(tmp_path):
+    path = str(tmp_path / "tiny.txt")
+    save_model(init_model(1, ArchitectureConfig(input_width=1, block_widths=(1,))), path)
+    return path
+
+
+def _rewrite(path, mutate):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(mutate(lines)) + "\n")
+
+
+def test_malformed_tensor_header_names_file_and_line(tiny_path):
+    assert open(tiny_path).read().splitlines()[2] == "tensor input_affine.W 2 1 1"
+    _rewrite(tiny_path, lambda ls: ls[:2] + ["tensor input_affine.W x 1 1"] + ls[3:])
+    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: malformed tensor header at line 3$"):
+        load_model(tiny_path)
+
+
+def test_malformed_tensor_value_names_file_and_line(tiny_path):
+    _rewrite(tiny_path, lambda ls: ls[:3] + ["x"] + ls[4:])
+    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: line 4: .*'x'"):
+        load_model(tiny_path)
+
+
+def test_repeated_tensor_block_is_rejected(tiny_path):
+    _rewrite(tiny_path, lambda ls: ls[:-1] + ["tensor output_affine.b 1 1", "9", "end"])
+    with pytest.raises(ValueError, match="tensor 'output_affine.b' repeated at line"):
+        load_model(tiny_path)
