@@ -24,7 +24,10 @@ import numpy as np
 # oversample init_model run_dual_phase predict_proba save_model load_model
 # write_train_report_csv build_report format_report_table format_report_kv
 from .config import (
+    DataConfig,
     PipelineConfig,
+    config_from_dict,
+    config_to_dict,
     default_config,
     dumps_config,
     load_config,
@@ -81,42 +84,47 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+# command-line options that override one config value each, by section
+_OVERRIDES = {"threshold": "train", "tolerance": "gradcheck"}
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The ``--config`` file (or the defaults) with ``--seed`` and the
+    ``_OVERRIDES`` applied; an override is checked as a config file value is."""
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
         cfg = with_seed(cfg, args.seed)
-    threshold = getattr(args, "threshold", None)
-    if threshold is not None:
-        try:
-            cfg = dataclasses.replace(
-                cfg, train=dataclasses.replace(cfg.train, threshold=threshold)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return cfg
+    doc = config_to_dict(cfg)
+    for option, section in _OVERRIDES.items():
+        if getattr(args, option, None) is not None:
+            doc[section][option] = getattr(args, option)
+    return config_from_dict(doc)
 
 
 def _manifest_entry(extra: dict, key: str, parse):
-    """``parse(extra[key])``, or a DataError naming the missing or
+    """``parse(extra[key])``, or a ValueError naming the missing or
     malformed entry."""
     if key not in extra:
-        raise DataError(f"model file lacks manifest entry {key!r}")
+        raise ValueError(f"model file lacks manifest entry {key!r}")
     try:
         return parse(extra[key])
     except (TypeError, ValueError) as exc:
-        raise DataError(f"manifest entry {key!r} is malformed: {exc}") from exc
+        raise ValueError(f"manifest entry {key!r} is malformed: {exc}") from exc
 
 
 def _column_names(value: object) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
         raise TypeError("expected a list of column names")
+    twice = sorted({n for n in value if value.count(n) > 1})
+    if twice:
+        raise ValueError(f"names {', '.join(twice)} more than once")
     return tuple(value)
 
 
 def _vector(value: object) -> np.ndarray:
     vector = np.asarray(value, dtype=np.float64)
-    if vector.ndim != 1:
-        raise TypeError("expected a list of numbers")
+    if vector.ndim != 1 or not np.isfinite(vector).all():
+        raise TypeError("expected a list of finite numbers")
     return vector
 
 
@@ -127,25 +135,54 @@ def _probability(value: object) -> float:
     return p
 
 
+def _read_manifest(
+    model: ModelParams, extra: dict
+) -> tuple[tuple[str, ...], ScalerParams, float, DataConfig]:
+    """The feature names, scaler, threshold and label conventions of a
+    loaded model's manifest; a ValueError names the faulty entry.
+
+    A file without the label entries takes :class:`DataConfig`'s defaults.
+    """
+    names = _manifest_entry(extra, "feature_names", _column_names)
+    scaler = ScalerParams(
+        means=_manifest_entry(extra, "scaler_means", _vector),
+        stds=_manifest_entry(extra, "scaler_stds", _vector),
+        fitted_on=_manifest_entry(extra, "scaler_fitted_on", int),
+    )
+    if not len(names) == len(scaler.means) == model.n_features:
+        raise ValueError(
+            f"manifest entries 'feature_names' and 'scaler_means' hold {len(names)} "
+            f"and {len(scaler.means)} columns for a model of {model.n_features} features"
+        )
+    threshold = _manifest_entry(extra, "threshold", _probability)
+    labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
+    try:
+        data = config_from_dict({"data": labels}).data
+    except ConfigError as exc:
+        raise ValueError(f"manifest label entries are malformed: {exc}") from exc
+    return names, scaler, threshold, data
+
+
 def _scoring_model(
     args: argparse.Namespace,
-) -> tuple[ModelParams, dict, ScalerParams, tuple[str, ...], float]:
-    """Load ``--model`` and its manifest's scaler, feature names and threshold
-    (``--threshold`` overrides the last)."""
+) -> tuple[ModelParams, tuple[str, ...], ScalerParams, float, DataConfig]:
+    """Load and check ``--model`` before any capture is read: the model, its
+    feature names, scaler, threshold (``--threshold`` overrides it) and label
+    conventions. Every fault in the file is a DataError that names the file."""
     with _stage("load-model"):
-        model, extra = load_model(args.model)
-        names = _manifest_entry(extra, "feature_names", _column_names)
-        scaler = ScalerParams(
-            means=_manifest_entry(extra, "scaler_means", _vector),
-            stds=_manifest_entry(extra, "scaler_stds", _vector),
-            fitted_on=_manifest_entry(extra, "scaler_fitted_on", int),
-        )
-        threshold = _manifest_entry(extra, "threshold", _probability)
+        try:
+            model, extra = load_model(args.model)  # its errors name the file
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+        try:
+            names, scaler, threshold, labels = _read_manifest(model, extra)
+        except ValueError as exc:
+            raise DataError(f"{args.model}: {exc}") from exc
     if args.threshold is not None:
         if not 0.0 < args.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         threshold = args.threshold
-    return model, extra, scaler, names, threshold
+    return model, names, scaler, threshold, labels
 
 
 def _score_report(
@@ -238,9 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "scaler_stds": [float(v) for v in scaler.stds],
                 "scaler_fitted_on": scaler.fitted_on,
                 "threshold": cfg.train.threshold,
-                "label_column": cfg.data.label_column,
-                "benign_token": cfg.data.benign_token,
-                "attack_token": cfg.data.attack_token,
+                **dataclasses.asdict(cfg.data),  # read back by _read_manifest
             },
         )
         write_train_report_csv(report, os.path.join(args.out, "train_report.csv"))
@@ -256,15 +291,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, extra, scaler, names, threshold = _scoring_model(args)
+    model, names, scaler, threshold, labels = _scoring_model(args)
     with _stage("load"):
-        raw, _ = load_flow_csv(
-            args.data,
-            label_column=extra.get("label_column", "Label"),
-            benign_token=extra.get("benign_token", "BENIGN"),
-            attack_token=extra.get("attack_token", "DDoS"),
-            columns=names,
-        )
+        raw, _ = load_flow_csv(args.data, **dataclasses.asdict(labels), columns=names)
     with _stage("clean"):
         ds = clean(raw)
     del raw
@@ -276,9 +305,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model, extra, scaler, names, threshold = _scoring_model(args)
-    benign = extra.get("benign_token", "BENIGN")
-    attack = extra.get("attack_token", "DDoS")
+    model, names, scaler, threshold, labels = _scoring_model(args)
+    benign, attack = labels.benign_token, labels.attack_token
 
     with _stage("load"):
         X, row_numbers = load_feature_matrix(args.data, names)
@@ -316,9 +344,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     gc = cfg.gradcheck
-    tol = args.tolerance if args.tolerance is not None else gc.tolerance
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
 
     arch = ArchitectureConfig(
         input_width=gc.input_width,
@@ -342,7 +367,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     ok = True
     for spec, anchor_vec in checks:
         report = gradient_check(
-            model, X, y, spec, anchors=anchor_vec, h=gc.h, tol=tol
+            model, X, y, spec, anchors=anchor_vec, h=gc.h, tol=gc.tolerance
         )
         print(report.format())
         print()

@@ -45,7 +45,7 @@ class DataConfig:
         if not self.label_column:
             raise ValueError("label_column must be non-empty")
         if self.benign_token.strip().casefold() == self.attack_token.strip().casefold():
-            raise ValueError("benign and attack tokens must differ")
+            raise ValueError("benign_token and attack_token must differ")
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,30 @@ class _Block(NamedTuple):
 
 
 def _read_header(fh: TextIO, path: str) -> list[str]:
+    """The header's names, whitespace-stripped and made unique.
+
+    A name that repeats an earlier one gets the first suffix ``.1``,
+    ``.2``, ... that is free: not a name of the header and not given to an
+    earlier repeat. So ``X, X, X`` reads as ``X, X.1, X.2``, as pandas
+    names them, and ``X, X, X.1`` as ``X, X.2, X.1``: a name written in the
+    file always finds the first column that holds it.
+    """
     try:
         header = next(csv.reader(fh))
     except StopIteration:
         raise DataError(f"{path}: empty file, expected a header row") from None
-    return [h.strip() for h in header]
+    names = [h.strip() for h in header]
+    taken = set(names)
+    seen: set[str] = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            n = 1
+            while f"{name}.{n}" in taken:
+                n += 1
+            names[i] = f"{name}.{n}"
+            taken.add(names[i])
+        seen.add(name)
+    return names
 
 
 def _read_rows(
@@ -403,13 +422,14 @@ def _zero_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
 
 
 def _find_columns(path: str, header: Sequence[str], wanted: Sequence[str]) -> list[int]:
-    """Where ``wanted`` sit in ``header``; DataError names those absent or twice."""
+    """Where ``wanted`` sit in the (unique) ``header``; DataError names the
+    columns requested twice or absent."""
+    twice = sorted({n for n in wanted if wanted.count(n) > 1})
+    if twice:
+        raise DataError(f"columns requested more than once: {', '.join(twice)}")
     missing = sorted(set(wanted) - set(header))
     if missing:
         raise DataError(f"{path}: missing feature columns: {', '.join(missing)}")
-    twice = sorted({n for n in wanted if header.count(n) > 1})
-    if twice:
-        raise DataError(f"{path}: duplicate column names: {', '.join(twice)}")
     return [header.index(n) for n in wanted]
 
 
@@ -423,13 +443,15 @@ def load_flow_csv(
     """Load a flow CSV, encode labels, and drop non-numeric columns.
 
     Header names are whitespace-stripped (CICIDS exports pad some of
-    them). Every non-label cell is read as ``float(cell.strip())``; a cell
-    that is empty or does not parse becomes NaN. A column is kept if at
-    least one of its cells parses (so an all-"Infinity" or all-"nan"
-    column stays), which drops identifier columns (flow IDs, IP
-    addresses, timestamps) wholesale while a numeric column with a few
-    corrupt cells survives with NaNs for :func:`clean` to handle. Rows
-    whose cells are all blank are skipped.
+    them), and a repeated name gets a suffix: CICIDS2017's second
+    ``Fwd Header Length`` reads as ``Fwd Header Length.1``, as pandas names
+    it (see :func:`_read_header`). Every non-label cell is read as
+    ``float(cell.strip())``; a cell that is empty or does not parse becomes
+    NaN. A column is kept if at least one of its cells parses (so an
+    all-"Infinity" or all-"nan" column stays), which drops identifier
+    columns (flow IDs, IP addresses, timestamps) wholesale while a numeric
+    column with a few corrupt cells survives with NaNs for :func:`clean` to
+    handle. Rows whose cells are all blank are skipped.
 
     Label cells must equal ``benign_token`` or ``attack_token``,
     case-insensitively after trimming; they are encoded 0 and 1.
@@ -453,8 +475,8 @@ def load_flow_csv(
 
     Raises:
         DataError: missing header or label column, unknown label token
-            (named with its row), ragged row, zero numeric columns, two
-            kept columns of one name, or a requested column absent.
+            (named with its row), ragged row, zero numeric columns, or a
+            requested column absent or requested twice.
         OSError: the file cannot be read.
     """
     benign = benign_token.strip().casefold()
@@ -480,10 +502,8 @@ def load_flow_csv(
     keep = np.flatnonzero(evidence)
     if not keep.size:
         raise DataError(f"{path}: no numeric feature columns found")
-    kept_names = tuple(col_names[j] for j in keep)
-    _find_columns(path, kept_names, kept_names)  # no two of one name
     dataset = FlowDataset(
-        feature_names=kept_names,
+        feature_names=tuple(col_names[j] for j in keep),
         features=features.take(keep, axis=1),  # C-ordered, one copy
         labels=labels,
     )
@@ -497,7 +517,7 @@ def load_feature_matrix(
     """Read only the named columns from a CSV, in the order given.
 
     Used for scoring unlabeled flows: any label or extra columns are
-    ignored. Cells are read as in :func:`load_flow_csv`
+    ignored. Header names and cells are read as in :func:`load_flow_csv`
     (``float(cell.strip())``, NaN when empty or unparseable, block by block
     through NumPy's C parser), for the caller to handle. Returns the matrix
     and the 1-based data-row number of every returned row (rows whose
@@ -505,7 +525,7 @@ def load_feature_matrix(
 
     Raises:
         DataError: missing header, any requested column absent (all
-            absentees listed) or present twice, ragged row, or no data rows.
+            absentees listed) or requested twice, ragged row, or no data rows.
         OSError: the file cannot be read.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -601,11 +621,20 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
 
     Fit on training rows only; apply the result to every other partition
     with :func:`apply_scaler`.
+
+    Raises:
+        DataError: no rows, or columns (named) whose mean or standard
+            deviation overflows float64.
     """
     if train.n_rows == 0:
         raise DataError("cannot fit scaler on an empty dataset")
-    means = train.features.mean(axis=0)
-    stds = train.features.std(axis=0)  # ddof=0: population std
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.features.mean(axis=0)
+        stds = train.features.std(axis=0)  # ddof=0: population std
+    overflow = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
+    if overflow.size:
+        names = ", ".join(train.feature_names[j] for j in overflow)
+        raise DataError(f"mean or standard deviation overflows float64 in columns: {names}")
     return ScalerParams(means=means, stds=stds, fitted_on=train.n_rows)
 
 

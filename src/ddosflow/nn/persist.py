@@ -66,14 +66,18 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
     """Read a model file; returns ``(model, extra_manifest)``.
 
     Raises:
-        ValueError: unrecognized magic/version, a manifest that is not a
-            JSON object, lacks ``architecture`` or ``n_features`` or holds
-            an architecture that :class:`ArchitectureConfig` rejects, a
-            malformed tensor block, or tensors that do not match the
-            declared architecture.
+        ValueError: a file that is not UTF-8 or has an unrecognized
+            magic/version, a manifest that is not a JSON object, lacks
+            ``architecture`` or ``n_features`` or holds an architecture that
+            :class:`ArchitectureConfig` rejects, a malformed tensor block or
+            a non-finite value (named with its line), or tensors that do not
+            match the declared architecture. Every message names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a model file (not UTF-8)") from None
     if not lines or not lines[0].startswith(_MAGIC):
         raise ValueError(f"{path}: not a model file")
     version = lines[0].split()[-1]
@@ -81,7 +85,10 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
         raise ValueError(f"{path}: unsupported format version {version}")
     if len(lines) < 2 or not lines[1].startswith("manifest "):
         raise ValueError(f"{path}: missing manifest line")
-    manifest = json.loads(lines[1][len("manifest "):])
+    try:
+        manifest = json.loads(lines[1][len("manifest "):])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
     try:
@@ -127,6 +134,8 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
                 if len(cells) != n_cols:
                     raise ValueError(f"tensor {name!r} has ragged rows")
                 values[i] = [float(v) for v in cells]
+                if not np.isfinite(values[i]).all():
+                    raise ValueError(f"tensor {name!r} holds a non-finite value")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {pos + 2 + i}: {exc}") from None
         target[...] = values.reshape(shape)

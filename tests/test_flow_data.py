@@ -129,21 +129,31 @@ def test_load_feature_matrix_subset_and_order(tmp_path):
 
 
 def test_duplicate_kept_column_named(tmp_path):
-    path = _write(tmp_path, "a,a,Label\n1,2,BENIGN\n3,4,DDoS\n")
-    with pytest.raises(DataError, match=r"duplicate column names: a$"):
-        load_flow_csv(path)
-    # a dropped (non-numeric) twin does not clash with the kept column
+    # a repeated header name gets the first free suffix, as pandas names it
+    path = _write(tmp_path, "a,a,Label,a\n1,2,BENIGN,3\n4,5,DDoS,6\n")
+    ds, _ = load_flow_csv(path)
+    assert ds.feature_names == ("a", "a.1", "a.2")
+    np.testing.assert_array_equal(ds.features, [[1, 2, 3], [4, 5, 6]])
+    # a suffix the file already uses is skipped, and that column keeps its name
+    path = _write(tmp_path, " a ,a,a.1,Label\n1,2,3,BENIGN\n", name="taken.csv")
+    ds, _ = load_flow_csv(path)
+    assert ds.feature_names == ("a", "a.2", "a.1")
+    np.testing.assert_array_equal(ds.features, [[1, 2, 3]])
+    # a dropped (non-numeric) twin is reported under its suffixed name
     path = _write(tmp_path, "a,a,Label\n1,x,BENIGN\n3,y,DDoS\n", name="twin.csv")
     ds, dropped = load_flow_csv(path)
-    assert ds.feature_names == ("a",) and dropped == ["a"]
+    assert ds.feature_names == ("a",) and dropped == ["a.1"]
 
 
 def test_load_feature_matrix_duplicate_requested_column_named(tmp_path):
     path = _write(tmp_path, "a,b,a\n1,2,3\n4,5,6\n")
-    with pytest.raises(DataError, match=r"duplicate column names: a$"):
-        load_feature_matrix(path, ("a", "b"))
-    X, _ = load_feature_matrix(path, ("b",))  # an unrequested twin is ignored
-    np.testing.assert_array_equal(X[:, 0], [2, 5])
+    with pytest.raises(DataError, match=r"columns requested more than once: a$"):
+        load_feature_matrix(path, ("a", "b", "a"))
+    with pytest.raises(DataError, match=r"columns requested more than once: b$"):
+        load_flow_csv(_write(tmp_path, "b,Label\n1,BENIGN\n", name="l.csv"), columns=("b", "b"))
+    # the header's twin is a column of its own, found by its suffixed name
+    X, _ = load_feature_matrix(path, ("a.1", "b", "a"))
+    np.testing.assert_array_equal(X, [[3, 2, 1], [6, 5, 4]])
 
 
 def test_load_feature_matrix_missing_columns_listed(tmp_path):
@@ -534,6 +544,14 @@ def test_fit_scaler_population_std():
     assert s.stds[0] == pytest.approx(math.sqrt(var), abs=0.0, rel=1e-15)
     assert s.stds[0] == pytest.approx(1.6329931618554521, rel=1e-15)
     assert s.fitted_on == 3
+
+
+def test_fit_scaler_names_the_columns_it_overflows():
+    # finite cells whose sum (for the mean) or squares (for the std) pass
+    # float64's largest value would scale every cell of the column to nan
+    ds = _ds([[1e308, 1.0, 1e200], [1e308, 2.0, -1e200]], [0, 1], names=("big", "ok", "wide"))
+    with pytest.raises(DataError, match=r"overflows float64 in columns: big, wide$"):
+        fit_scaler(ds)
 
 
 def test_exact_standard_normal_column_is_identity():

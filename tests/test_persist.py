@@ -246,3 +246,18 @@ def test_repeated_tensor_block_is_rejected(tiny_path):
     _rewrite(tiny_path, lambda ls: ls[:-1] + ["tensor output_affine.b 1 1", "9", "end"])
     with pytest.raises(ValueError, match="tensor 'output_affine.b' repeated at line"):
         load_model(tiny_path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_tensor_value_names_file_and_line(tiny_path, value):
+    _rewrite(tiny_path, lambda ls: ls[:3] + [value] + ls[4:])
+    message = rf"^{re.escape(tiny_path)}: line 4: tensor 'input_affine.W' holds a non-finite value$"
+    with pytest.raises(ValueError, match=message):
+        load_model(tiny_path)
+
+
+def test_file_that_is_not_utf8_is_named(tiny_path):
+    with open(tiny_path, "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: not a model file \(not UTF-8\)$"):
+        load_model(tiny_path)
