@@ -13,10 +13,11 @@ inputs, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -96,12 +97,15 @@ class ScalerParams:
             raise ValueError("stds must be non-negative")
 
     def scale(self, X: np.ndarray) -> np.ndarray:
-        """``X`` standardized as :func:`apply_scaler` does; a new C-ordered matrix."""
+        """``X`` standardized as :func:`apply_scaler` does; a new C-ordered
+        matrix, the only full-size array the call makes."""
         if self.means.shape[0] != X.shape[1]:
             raise ValueError(f"scaler fits {len(self.means)} columns, not {X.shape[1]}")
+        scaled = np.subtract(X, self.means, order="C")
         with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(self.stds > 0, (X - self.means) / self.stds, 0.0)
-        return np.ascontiguousarray(scaled)
+            scaled /= self.stds
+        scaled[:, ~(self.stds > 0)] = 0.0
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,30 @@ def _read_header(fh: TextIO, path: str) -> list[str]:
     return names
 
 
+@contextlib.contextmanager
+def _open_csv(path: str) -> Iterator[TextIO]:
+    """The CSV at ``path``, open as UTF-8 text with a byte-order mark
+    skipped; bytes that are not UTF-8 raise a DataError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _record_bound(path: str) -> int:
+    """An upper bound on the records of the CSV at ``path``: one more than
+    its line ends, which are "\\n", "\\r\\n" and a lone "\\r", as the reader
+    splits lines."""
+    ends = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            ends += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            if b"\r" in chunk:
+                ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return ends
+
+
 def _read_rows(
     fh: TextIO,
     path: str,
@@ -224,25 +252,36 @@ def _read_rows(
     data rows. Each block goes through :func:`_scan_block`, or through
     :func:`_csv_block` when the scan declines it; both give the same result.
 
+    Every block is written into one matrix, allocated before the first for
+    as many rows as :func:`_record_bound` allows, and the filled rows are
+    returned (C-ordered): the file's values are held once. Rows that stay
+    unwritten cost address space, not memory.
+
     Raises:
-        DataError: ragged row, unknown label token, or no data rows.
+        DataError: ragged row, unknown label token, no data rows, or a
+            file that grew while it was read.
     """
     take_idx = np.asarray(take, dtype=np.intp)
-    blocks: list[_Block] = []
-    row_no = 0
+    bound = _record_bound(path)
+    values = np.empty((bound, len(take)))
+    labels = np.empty(0 if label_idx is None else bound, dtype=np.int64)
+    rows = np.empty(bound, dtype=np.int64)
+    evidence = np.zeros(len(take), dtype=np.int64)
+    n = row_no = 0
     while lines := fh.readlines(_BLOCK_CHARS):
         args = (row_no, n_fields, take_idx, label_idx, tokens)
         block = _scan_block(lines, *args) or _csv_block(lines, fh, path, *args)
-        blocks.append(block)
-        row_no += block.records
-    if not any(b.rows.size for b in blocks):
+        end = n + block.rows.size
+        if end > bound:
+            raise DataError(f"{path}: the file grew while it was read")
+        values[n:end] = block.values
+        labels[n:end] = block.labels  # both empty without a label column
+        rows[n:end] = block.rows
+        evidence += block.evidence
+        n, row_no = end, row_no + block.records
+    if not n:
         raise DataError(f"{path}: no data rows")
-    return (
-        np.concatenate([b.values for b in blocks]),
-        np.sum([b.evidence for b in blocks], axis=0),
-        np.concatenate([b.labels for b in blocks]),
-        np.concatenate([b.rows for b in blocks]),
-    )
+    return values[:n], evidence, labels[:n], rows[:n]
 
 
 def _csv_block(
@@ -475,8 +514,9 @@ def load_flow_csv(
 
     Raises:
         DataError: missing header or label column, unknown label token
-            (named with its row), ragged row, zero numeric columns, or a
-            requested column absent or requested twice.
+            (named with its row), ragged row, zero numeric columns, a
+            requested column absent or requested twice, or bytes that are
+            not UTF-8.
         OSError: the file cannot be read.
     """
     benign = benign_token.strip().casefold()
@@ -484,7 +524,7 @@ def load_flow_csv(
     if benign == attack:
         raise DataError("benign and attack tokens must differ")
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path) as fh:
         names = _read_header(fh, path)
         if label_column not in names:
             raise DataError(f"{path}: label column {label_column!r} not found in header")
@@ -502,11 +542,9 @@ def load_flow_csv(
     keep = np.flatnonzero(evidence)
     if not keep.size:
         raise DataError(f"{path}: no numeric feature columns found")
-    dataset = FlowDataset(
-        feature_names=tuple(col_names[j] for j in keep),
-        features=features.take(keep, axis=1),  # C-ordered, one copy
-        labels=labels,
-    )
+    if keep.size < len(take):
+        features = features.take(keep, axis=1)  # C-ordered, one copy
+    dataset = FlowDataset(tuple(col_names[j] for j in keep), features, labels)
     dropped = [name for name, count in zip(col_names, evidence) if not count]
     return dataset, dropped
 
@@ -525,10 +563,11 @@ def load_feature_matrix(
 
     Raises:
         DataError: missing header, any requested column absent (all
-            absentees listed) or requested twice, ragged row, or no data rows.
+            absentees listed) or requested twice, ragged row, no data rows,
+            or bytes that are not UTF-8.
         OSError: the file cannot be read.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path) as fh:
         names = _read_header(fh, path)
         take = _find_columns(path, names, feature_names)
         features, _, _, row_numbers = _read_rows(fh, path, len(names), take)

@@ -9,6 +9,7 @@ import json
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_criterion_5_desk_pipeline(tmp_path):
     assert main(["train", "--data", data, "--out", outdir]) == 0  # default 50+50 epochs
     kv = dict(
         line.split("=", 1)
-        for line in open(os.path.join(outdir, "eval_report.kv")).read().strip().splitlines()
+        for line in Path(outdir, "eval_report.kv").read_text().strip().splitlines()
     )
     elapsed = time.perf_counter() - t0
     acc, auc = float(kv["accuracy"]), float(kv["roc_auc"])
@@ -286,7 +287,7 @@ def test_criterion_7_cicids_pipeline(tmp_path):
     assert main(["train", "--data", data, "--out", outdir]) == 0
     kv = dict(
         line.split("=", 1)
-        for line in open(os.path.join(outdir, "eval_report.kv")).read().strip().splitlines()
+        for line in Path(outdir, "eval_report.kv").read_text().strip().splitlines()
     )
     acc, f1_score = float(kv["accuracy"]), float(kv["f1"])
     report(7, acc >= 0.99 and f1_score >= 0.99, f"accuracy {acc:.4f}, f1 {f1_score:.4f}")
@@ -309,8 +310,8 @@ def test_criterion_8_determinism(tmp_path):
         dirs.append(outdir)
     identical = []
     for name in ("model.txt", "train_report.csv", "eval_report.txt", "eval_report.kv"):
-        a = open(os.path.join(dirs[0], name), "rb").read()
-        b = open(os.path.join(dirs[1], name), "rb").read()
+        a = Path(dirs[0], name).read_bytes()
+        b = Path(dirs[1], name).read_bytes()
         identical.append(a == b)
         assert a == b, f"{name} differs between identical runs"
     report(8, all(identical), "model + 3 reports byte-identical")

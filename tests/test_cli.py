@@ -3,11 +3,12 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddosflow.cli import main
+from ddosflow.cli import _stage, main
 from ddosflow.config import default_config, dumps_config, loads_config
 from ddosflow.nn import load_model
 
@@ -85,9 +86,9 @@ def test_synth_writes_deterministic_csv(tmp_path, capsys):
     a = make_data(tmp_path, "a.csv", seed=5)
     b = make_data(tmp_path, "b.csv", seed=5)
     c = make_data(tmp_path, "c.csv", seed=6)
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a, "rb").read() != open(c, "rb").read()
-    header = open(a).readline().strip().split(",")
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert Path(a).read_bytes() != Path(c).read_bytes()
+    header = Path(a).read_text().splitlines()[0].strip().split(",")
     assert header[-1] == "Label"
     assert len(header) == 5
 
@@ -284,7 +285,7 @@ def test_train_empty_csv(tmp_path, capsys):
 
 def test_train_suffixes_a_duplicate_header(tmp_path, capsys):
     data = make_data(tmp_path)
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     assert rows[0] == "feature_0,feature_1,feature_2,feature_3,Label"
     twin = tmp_path / "twin.csv"
     twin.write_text("\n".join(["feature_0,feature_1,feature_2,feature_0,Label"] + rows[1:]) + "\n")
@@ -299,7 +300,7 @@ def test_train_suffixes_a_duplicate_header(tmp_path, capsys):
 
 def test_train_stops_on_a_column_that_overflows_the_scaler(tmp_path, capsys):
     data = make_data(tmp_path)
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     big = tmp_path / "big.csv"
     # two cells of 1e308 already sum past float64's largest value
     big.write_text("\n".join(["big," + rows[0]] + ["1e308," + r for r in rows[1:]]) + "\n")
@@ -308,6 +309,32 @@ def test_train_stops_on_a_column_that_overflows_the_scaler(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error: scale: mean or standard deviation overflows float64 in columns: big" in err
     assert not (outdir / "model.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_a_capture_that_is_not_utf8_is_a_data_error_naming_the_file(
+    trained, tmp_path, capsys, command
+):
+    _, model = trained
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"a,Label\n\xff,BENIGN\n")
+    argv = {
+        "train": ["train", "--data", str(bad), "--out", str(tmp_path / "o")],
+        "evaluate": ["evaluate", "--model", model, "--data", str(bad)],
+        "predict": ["predict", "--model", model, "--data", str(bad), "--out", str(tmp_path / "p.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: load: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_stage_prefixes_an_error_whose_class_takes_other_arguments():
+    with pytest.raises(ValueError, match=r"^load: 'utf-8' codec can't decode") as info:
+        with _stage("load"):
+            b"\xff".decode("utf-8")
+    assert type(info.value) is ValueError
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 # --------------------------------------------------------------- evaluate
@@ -333,7 +360,7 @@ def test_evaluate_matches_training_eval(trained, tmp_path, capsys):
 
 def test_evaluate_rejects_column_mismatch(trained, tmp_path, capsys):
     data, model = trained
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     header = rows[0].split(",")
     header[0] = "renamed_column"
     mangled = tmp_path / "mangled.csv"
@@ -351,7 +378,7 @@ def pairwise_auc(scores, truth):
 
 def test_evaluate_and_predict_score_the_same_rows_of_a_reordered_capture(trained, tmp_path):
     data, model = trained
-    rows = [line.split(",") for line in open(data).read().splitlines()]
+    rows = [line.split(",") for line in Path(data).read_text().splitlines()]
     columns = dict(zip(rows[0], zip(*rows[1:])))  # feature_0..3, Label
     n = len(rows) - 1
     columns["extra_a"] = [str(i * 0.5) for i in range(n)]
@@ -430,7 +457,7 @@ def _bogus_architecture_key(manifest):
 )
 def test_evaluate_malformed_manifest_is_named(trained, tmp_path, capsys, edit, message):
     data, model = trained
-    lines = open(model).read().splitlines()
+    lines = Path(model).read_text().splitlines()
     manifest = edit(json.loads(lines[1][len("manifest "):]))
     lines[1] = "manifest " + json.dumps(manifest)
     bad = tmp_path / "bad_manifest.txt"
@@ -489,7 +516,7 @@ def _manifest_not_json(lines):
 )
 def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys, edit, message, command):
     _, model = trained
-    lines = open(model).read().splitlines()
+    lines = Path(model).read_text().splitlines()
     edit(lines)
     bad = tmp_path / "bad_model.txt"
     bad.write_text("\n".join(lines) + "\n")
@@ -507,7 +534,7 @@ def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys,
 
 def test_scoring_model_without_label_entries_takes_the_defaults(trained, tmp_path):
     data, model = trained
-    lines = open(model).read().splitlines()
+    lines = Path(model).read_text().splitlines()
     manifest = json.loads(lines[1][len("manifest "):])
     for key in ("label_column", "benign_token", "attack_token"):
         del manifest[key]
@@ -524,7 +551,7 @@ def test_scoring_model_without_label_entries_takes_the_defaults(trained, tmp_pat
 def test_evaluate_scores_a_one_class_capture(trained, tmp_path, capsys):
     data, model = trained
     benign = make_data(tmp_path, name="benign.csv", seed=5, majority=200, minority=2)
-    rows = open(benign).read().splitlines()
+    rows = Path(benign).read_text().splitlines()
     rows = rows[:1] + [r for r in rows[1:] if r.endswith(",BENIGN")]
     assert len(rows) == 1 + 200
     only = tmp_path / "benign_only.csv"
@@ -555,7 +582,7 @@ def test_predict_scores_every_clean_row(trained, tmp_path, capsys):
 
 def test_predict_drops_unparseable_rows(trained, tmp_path, capsys):
     data, model = trained
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     parts = rows[1].split(",")
     parts[0] = "garbage"
     rows[1] = ",".join(parts)
@@ -580,7 +607,7 @@ def test_predict_threshold_changes_labels(trained, tmp_path):
 
 def test_predict_ignores_extra_columns(trained, tmp_path):
     data, model = trained
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     header = rows[0].split(",")
     aug = [",".join(header[:-1] + ["extra", header[-1]])]
     for r in rows[1:]:
@@ -613,7 +640,7 @@ def test_predict_duplicate_feature_column(trained, tmp_path, capsys):
 
 def test_predict_missing_feature_column(trained, tmp_path, capsys):
     data, model = trained
-    rows = open(data).read().splitlines()
+    rows = Path(data).read_text().splitlines()
     keep = [0, 1, 3, 4]  # drop feature_2 (columns: f0 f1 f2 f3 Label)
     slim = ["\n".join(",".join(r.split(",")[i] for i in keep) for r in rows)]
     slimmed = tmp_path / "slim.csv"

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,7 +239,9 @@ def _reference_parse_cell(cell):
         return math.nan, False
 
 
-def _reference_load_flow_csv(path, label_column="Label", benign_token="BENIGN", attack_token="DDoS"):
+def _reference_load_flow_csv(
+    path, label_column="Label", benign_token="BENIGN", attack_token="DDoS", columns=None
+):
     benign = benign_token.strip().casefold()
     attack = attack_token.strip().casefold()
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -252,6 +255,10 @@ def _reference_load_flow_csv(path, label_column="Label", benign_token="BENIGN", 
             raise DataError(f"{path}: label column {label_column!r} not found in header")
         label_idx = names.index(label_column)
         col_names = [n for i, n in enumerate(names) if i != label_idx]
+        if columns is not None:  # as _reference_load_feature_matrix selects them
+            missing = [n for n in columns if n not in names]
+            if missing:
+                raise DataError(f"{path}: missing feature columns: {', '.join(sorted(missing))}")
         rows, labels = [], []
         evidence = [0] * len(col_names)
         for row_no, row in enumerate(reader, start=1):
@@ -283,16 +290,17 @@ def _reference_load_flow_csv(path, label_column="Label", benign_token="BENIGN", 
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(col_names))
+    labels = np.asarray(labels, dtype=np.int64)
+    if columns is not None:
+        take = [col_names.index(n) for n in columns]
+        return FlowDataset(tuple(columns), np.ascontiguousarray(matrix[:, take]), labels), []
     keep = [j for j, count in enumerate(evidence) if count > 0]
     dropped = [col_names[j] for j in range(len(col_names)) if j not in set(keep)]
     if not keep:
         raise DataError(f"{path}: no numeric feature columns found")
-    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(col_names))
     matrix = np.ascontiguousarray(matrix[:, keep])
-    dataset = FlowDataset(
-        tuple(col_names[j] for j in keep), matrix, np.asarray(labels, dtype=np.int64)
-    )
-    return dataset, dropped
+    return FlowDataset(tuple(col_names[j] for j in keep), matrix, labels), dropped
 
 
 def _reference_load_feature_matrix(path, feature_names):
@@ -337,6 +345,7 @@ def _outcome(load, *args):
             ds.labels.dtype, ds.labels.tolist(), dropped,
         )
     X, rows = result
+    assert X.flags.c_contiguous
     return X.dtype, X.shape, X.view(np.int64).tolist(), rows
 
 
@@ -400,11 +409,61 @@ def test_block_reader_matches_reference(tmp_path_factory):
             assert _same_outcome(
                 load_flow_csv, _reference_load_flow_csv, path, "Label", *tokens
             )
+            # the call evaluate makes: the model's columns by name, with labels
+            assert _same_outcome(
+                load_flow_csv, _reference_load_flow_csv, path, "Label", *tokens, names
+            )
             assert _same_outcome(
                 load_feature_matrix, _reference_load_feature_matrix, path, names
             )
 
     check()
+
+
+# Files with more line ends than data rows, which the reader's matrix is
+# sized by: blank lines, newlines inside quoted fields, lone carriage returns
+# (csv ends a record there too), and a last line without a newline.
+OVERCOUNTED = {
+    "blank lines": "a,b,Label\n\n1,2,BENIGN\n,\n\n3,4,DDoS\n\n\n",
+    "quoted newlines": 'a,b,Label\n"1\n",2,BENIGN\n"\n\n3",4,DDoS\n5,"6\r\n",ddos\n',
+    "carriage returns": "a,b,Label\r1,2,BENIGN\r\r3,x,DDoS\r\n5,6,BENIGN",
+    "no final newline": "a,b,Label\n1,2,BENIGN\n3,4,DDoS",
+}
+
+
+@pytest.mark.parametrize("text", OVERCOUNTED.values(), ids=OVERCOUNTED.keys())
+@pytest.mark.parametrize("block_chars", [1, 1 << 17])
+def test_reader_matches_reference_where_line_ends_overstate_records(
+    tmp_path, monkeypatch, text, block_chars
+):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(text.encode())
+    path = str(path)
+    monkeypatch.setattr(flow_data, "_BLOCK_CHARS", block_chars)
+    assert _same_outcome(load_flow_csv, _reference_load_flow_csv, path)
+    assert _same_outcome(
+        load_flow_csv, _reference_load_flow_csv, path, "Label", "BENIGN", "DDoS", ("b", "a")
+    )
+    assert _same_outcome(load_feature_matrix, _reference_load_feature_matrix, path, ("b", "a"))
+    X, rows = load_feature_matrix(path, ("a",))
+    assert flow_data._record_bound(path) > len(rows) == X.shape[0] > 0
+
+
+def test_reader_stops_if_the_file_has_more_records_than_counted(tmp_path, monkeypatch):
+    path = _write(tmp_path, "a,Label\n1,BENIGN\n2,DDoS\n")
+    monkeypatch.setattr(flow_data, "_record_bound", lambda path: 1)
+    with pytest.raises(DataError, match="grew while it was read"):
+        load_flow_csv(path)
+
+
+def test_loaders_name_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,Label\n\xff,BENIGN\n")
+    message = rf"^{re.escape(str(path))}: not UTF-8 text \(invalid start byte\)$"
+    with pytest.raises(DataError, match=message):
+        load_flow_csv(str(path))
+    with pytest.raises(DataError, match=message):
+        load_feature_matrix(str(path), ("a",))
 
 
 # ---------------------------------------------------------------- cleaning
@@ -584,6 +643,23 @@ def test_scaled_train_columns_are_standardized():
     stds = out.features.std(axis=0)
     assert np.abs(means).max() < 1e-9
     assert np.abs(stds - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scale_gives_the_bits_of_the_plain_formula(order):
+    rng = np.random.Generator(np.random.PCG64(8))
+    X = np.asarray(rng.normal(5.0, 3.0, size=(50, 6)), order=order)
+    X[3, 1] = np.inf
+    stds = rng.uniform(0.5, 4.0, 6)
+    stds[[2, 4]] = 0.0
+    s = ScalerParams(means=rng.normal(size=6), stds=stds, fitted_on=50)
+    before = X.copy()
+    out = s.scale(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(stds > 0, (X - s.means) / stds, 0.0)
+    assert out.flags.c_contiguous
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(X, before)  # the input is left as it was
 
 
 def test_apply_scaler_dim_mismatch():

@@ -1,6 +1,7 @@
 """Text model files: byte-stable round trips and malformed-input rejection."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_save_load_save_is_byte_identical(model, tmp_path):
     save_model(model, p1, extra={"threshold": 0.5, "tokens": ["x", "y"]})
     loaded, extra = load_model(p1)
     save_model(loaded, p2, extra=extra)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_adversarial_floats_round_trip_bitwise(model, tmp_path):
@@ -101,7 +102,7 @@ def test_architecture_flags_survive(tmp_path):
 def write_and_mutate(model, tmp_path, mutate):
     path = str(tmp_path / "m.txt")
     save_model(model, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     lines = mutate(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -224,13 +225,13 @@ def tiny_path(tmp_path):
 
 
 def _rewrite(path, mutate):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(mutate(lines)) + "\n")
 
 
 def test_malformed_tensor_header_names_file_and_line(tiny_path):
-    assert open(tiny_path).read().splitlines()[2] == "tensor input_affine.W 2 1 1"
+    assert Path(tiny_path).read_text().splitlines()[2] == "tensor input_affine.W 2 1 1"
     _rewrite(tiny_path, lambda ls: ls[:2] + ["tensor input_affine.W x 1 1"] + ls[3:])
     with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: malformed tensor header at line 3$"):
         load_model(tiny_path)

@@ -1,5 +1,7 @@
 """Synthetic benign/attack flow generator used for pipeline rehearsals."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,4 +85,4 @@ def test_csv_writes_are_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_synthetic_csv(spec, p1)
     write_synthetic_csv(spec, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
