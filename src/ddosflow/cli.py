@@ -189,12 +189,37 @@ def _scoring_model(
     return model, names, scaler, threshold, labels
 
 
+def _score(
+    model: ModelParams, X: np.ndarray, row_numbers: list[int] | None = None
+) -> np.ndarray:
+    """The attack probability of each scaled row of ``X``.
+
+    A logit that overflows to +-inf scores its limit, 1 or 0. A row whose
+    features lie so far outside the training range that the network's
+    arithmetic gives NaN is a DataError, which counts such rows and names
+    the first by its data-row number in ``row_numbers``, or else by its
+    position among the scored rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        proba = predict_proba(model, X)
+    nan = np.flatnonzero(np.isnan(proba))
+    if nan.size:
+        first = (
+            f"data row {row_numbers[nan[0]]}" if row_numbers is not None
+            else f"scored row {nan[0] + 1}"
+        )
+        raise DataError(
+            f"{nan.size} of {proba.size} rows scored NaN; the first is {first}. The "
+            "network overflows on feature values far outside the training range"
+        )
+    return proba
+
+
 def _score_report(
     model: ModelParams, ds: FlowDataset, threshold: float, kv_path: str | None
 ) -> str:
     """Score the scaled rows of ``ds``; print and return the report as a table,
     and write it as ``key=value`` lines to ``kv_path`` if one is given."""
-    proba = predict_proba(model, ds.features)
+    proba = _score(model, ds.features)
     report = build_report(classify(proba, threshold), proba, ds.labels)
     if kv_path:
         with open(kv_path, "w") as fh:
@@ -332,7 +357,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     np.copyto(X, scaler.means, where=np.isinf(X))
     X = scaler.scale(X)
 
-    proba = predict_proba(model, X)
+    with _stage("predict"):
+        proba = _score(model, X, row_numbers)
     pred = classify(proba, threshold)
 
     with _stage("write"):

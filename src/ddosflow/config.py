@@ -92,15 +92,9 @@ _SECTIONS: dict[str, type] = {
 
 
 def default_config() -> PipelineConfig:
-    """Full defaults; the seed of each stage is distinct (0..4)."""
-    return PipelineConfig(
-        data=DataConfig(),
-        split=SplitConfig(seed=0),
-        smote=SmoteConfig(seed=1),
-        architecture=ArchitectureConfig(init_seed=2),
-        train=TrainConfig(seed=3),
-        gradcheck=GradCheckConfig(seed=4),
-    )
+    """Full defaults, with the stage seeds :func:`with_seed` gives seed 0."""
+    sections = {name: cls() for name, cls in _SECTIONS.items()}
+    return with_seed(PipelineConfig(**sections), 0)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

@@ -98,11 +98,12 @@ class ScalerParams:
 
     def scale(self, X: np.ndarray) -> np.ndarray:
         """``X`` standardized as :func:`apply_scaler` does; a new C-ordered
-        matrix, the only full-size array the call makes."""
+        matrix, the only full-size array the call makes. A value too far
+        from its column's mean for float64 scales to +-inf."""
         if self.means.shape[0] != X.shape[1]:
             raise ValueError(f"scaler fits {len(self.means)} columns, not {X.shape[1]}")
-        scaled = np.subtract(X, self.means, order="C")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = np.subtract(X, self.means, order="C")
             scaled /= self.stds
         scaled[:, ~(self.stds > 0)] = 0.0
         return scaled
@@ -611,12 +612,14 @@ def train_test_split(
 ) -> tuple[FlowDataset, FlowDataset]:
     """Deterministically shuffle and partition rows into train and test.
 
-    The test partition gets ``round(n_rows * test_fraction)`` rows
-    (half-up rounding), clamped to [1, n_rows - 1] so both partitions are
-    nonempty. The shuffle uses a PCG64 generator seeded with ``cfg.seed``,
-    so the partition is bit-reproducible across runs and platforms. With
-    ``stratify=True`` the same rule is applied per class and the per-class
-    test counts may make the total differ from the plain rule by one row.
+    Each group of rows is shuffled and gives ``round(size * test_fraction)``
+    of its rows (half-up rounding), clamped to [1, size - 1], to the test
+    partition; a group of one row goes to training. The groups are the
+    classes, benign then attack, with ``stratify=True`` (so the total may
+    differ by one row from the unstratified rule), and otherwise one group
+    of every row, so both partitions are nonempty. The shuffles draw from
+    one PCG64 generator seeded with ``cfg.seed``, so the partition is
+    bit-reproducible across runs and platforms.
 
     Raises:
         DataError: fewer than 2 rows.
@@ -625,34 +628,20 @@ def train_test_split(
     if n < 2:
         raise DataError("train_test_split requires at least 2 rows")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    groups = [np.flatnonzero(ds.labels == c) for c in (0, 1)] if cfg.stratify else [np.arange(n)]
+    test_parts, train_parts = [], []
+    for group in groups:
+        k = group.size
+        perm = group[rng.permutation(k)]
+        n_test = min(max(_round_half_up(k * cfg.test_fraction), 1), k - 1) if k > 1 else 0
+        test_parts.append(perm[:n_test])
+        train_parts.append(perm[n_test:])
 
-    if cfg.stratify:
-        test_parts = []
-        train_parts = []
-        for cls in (0, 1):
-            cls_idx = np.flatnonzero(ds.labels == cls)
-            if cls_idx.size == 0:
-                continue
-            perm = cls_idx[rng.permutation(cls_idx.size)]
-            n_test = min(max(_round_half_up(perm.size * cfg.test_fraction), 1), perm.size - 1) if perm.size > 1 else 0
-            test_parts.append(perm[:n_test])
-            train_parts.append(perm[n_test:])
-        test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
-        train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
-    else:
-        perm = rng.permutation(n)
-        n_test = min(max(_round_half_up(n * cfg.test_fraction), 1), n - 1)
-        test_idx = perm[:n_test]
-        train_idx = perm[n_test:]
+    def take(parts: list[np.ndarray]) -> FlowDataset:
+        idx = np.concatenate(parts)
+        return FlowDataset(ds.feature_names, ds.features[idx], ds.labels[idx])
 
-    def take(idx: np.ndarray) -> FlowDataset:
-        return FlowDataset(
-            ds.feature_names,
-            np.ascontiguousarray(ds.features[idx]),
-            ds.labels[idx].copy(),
-        )
-
-    return take(train_idx), take(test_idx)
+    return take(train_parts), take(test_parts)
 
 
 def fit_scaler(train: FlowDataset) -> ScalerParams:

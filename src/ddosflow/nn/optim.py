@@ -58,43 +58,36 @@ def adagrad_step(
     The accumulator is folded in before the update, so the step uses the
     post-accumulation G. Parameters and state are updated in place.
 
-    The gradients are read from the gradient arena of ``ws`` (or of a
-    fresh workspace), laid out like ``state.G``. A gradient that is not
-    already its arena view, as :func:`model_backward` returns them, is
-    copied in. Whole-vector operations then update the accumulator and
-    build the step over the span of the arena from the first tensor in
-    ``params`` to the last, and each tensor takes its part of the step. A
-    tensor of that span missing from ``params`` counts with gradient 0,
-    which leaves its accumulator as it is.
+    ``params`` names exactly the tensors of ``state``, as
+    :func:`named_parameters` gives them. The gradients are read from the
+    gradient arena of ``ws`` (or of a fresh workspace), laid out like
+    ``state.G``. A gradient that is not already its arena view, as
+    :func:`model_backward` returns them, is copied in. Whole-vector
+    operations then update the accumulator and build the step, and each
+    tensor takes its part of the step.
     """
+    if params.keys() != state.accum.keys():
+        unmatched = sorted(set(params) ^ set(state.accum))
+        raise KeyError(f"params must name exactly the optimizer's tensors: {unmatched}")
     ws = Workspace() if ws is None else ws
     arena = ws.gradients
     if not _laid_out_like(arena, state.accum):
         slots = [(name, a.shape, None, "") for name, a in state.accum.items()]
         arena = ws.lay_out(state, slots)
-    spans, offset = [], 0
     for name, view in arena.items():
-        w = params.get(name)
-        if w is None:
-            view.fill(0.0)
-        else:
-            g = grads[name]
-            if g.shape != w.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            if g is not view:
-                view[...] = g
-            spans.append((w, offset, offset + view.size))
-        offset += view.size
-    if len(spans) != len(params):
-        raise KeyError(f"no accumulator for {sorted(set(params) - set(arena))}")
-    if not spans:
-        return
-    lo, hi = spans[0][1], spans[-1][2]
-    g, G = ws.arena[lo:hi], state.G[lo:hi]
+        g = grads[name]
+        if g.shape != params[name].shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if g is not view:
+            view[...] = g
+    g, G = ws.arena, state.G
     step = ws.get(state, "step", g.size)
     denom = ws.get(state, "denom", g.size)
     G += np.multiply(g, g, out=step)
     np.multiply(g, state.eta, out=step)
     step /= np.sqrt(np.add(G, state.eps_opt, out=denom), out=denom)
-    for w, start, stop in spans:
-        w -= step[start - lo : stop - lo].reshape(w.shape)
+    offset = 0
+    for name, view in arena.items():
+        w = params[name]
+        w -= step[offset : offset + view.size].reshape(w.shape)
+        offset += view.size

@@ -113,17 +113,16 @@ SCORE_CHUNK = 256
 def predict_proba(
     model: ModelParams,
     X: np.ndarray,
-    chunk_size: int = SCORE_CHUNK,
     ws: Workspace | None = None,
 ) -> np.ndarray:
     """Attack probability per row, inference mode (running BN stats).
 
-    Rows are scored ``chunk_size`` at a time through one workspace (``ws``,
-    or a fresh one) whose buffers every chunk reuses; the last chunk also
-    takes the rows left over, so no pass is shorter than a chunk. Each
-    pass keeps no backward cache, so its activations rotate through three
-    buffers of the chunk's rows, which stay in cache between layers. The
-    returned array is a new one that the caller owns.
+    Rows are scored :data:`SCORE_CHUNK` at a time through one workspace
+    (``ws``, or a fresh one) whose buffers every chunk reuses; the last
+    chunk also takes the rows left over, so no pass is shorter than a
+    chunk. Each pass keeps no backward cache, so its activations rotate
+    through three buffers of the chunk's rows, which stay in cache between
+    layers. The returned array is a new one that the caller owns.
 
     BLAS can round a row of a matrix product differently in the last bit
     when the product has few rows, or a row count that is not a multiple
@@ -139,8 +138,8 @@ def predict_proba(
     ws = Workspace() if ws is None else ws
     n = X.shape[0]
     out = np.empty(n, dtype=np.float64)
-    # every chunk but the last starts at least chunk_size rows before the end
-    starts = range(0, max(n - chunk_size + 1, min(n, 1)), chunk_size)
+    # every chunk but the last starts at least SCORE_CHUNK rows before the end
+    starts = range(0, max(n - SCORE_CHUNK + 1, min(n, 1)), SCORE_CHUNK)
     for start, stop in zip(starts, [*starts[1:], n]):
         logits, _ = model_forward(model, X[start:stop], mode="infer", ws=ws)
         out[start:stop] = sigmoid(logits)

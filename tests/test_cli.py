@@ -565,6 +565,43 @@ def test_evaluate_scores_a_one_class_capture(trained, tmp_path, capsys):
     assert int(kv["tn"]) + int(kv["fp"]) == 200
 
 
+@pytest.mark.parametrize("stds", [None, 0.5], ids=["network-overflows", "scaler-overflows"])
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_a_row_that_scores_nan_is_a_data_error_naming_it(trained, tmp_path, capsys, command, stds):
+    """A cell far outside the training range overflows the network's
+    arithmetic (or first the scaler's, with a std below 1) to a NaN score:
+    the command counts the rows, names the first and writes nothing (and,
+    as in every test, lets no RuntimeWarning escape)."""
+    data, model = trained
+    if stds is not None:
+        lines = Path(model).read_text().splitlines()
+        _set("scaler_stds", [stds] * 4)(lines)
+        model = tmp_path / "small_stds.txt"
+        model.write_text("\n".join(lines) + "\n")
+    header, *rows = Path(data).read_text().splitlines()[:4]
+    rows[1] = "1e308,1e308,1e308,1e308," + rows[1].rsplit(",", 1)[1]
+    capture = tmp_path / "far.csv"
+    capture.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--model", str(model), "--data", str(capture), "--out", str(out)]) == 2
+    row = "data row 2" if command == "predict" else "scored row 2"
+    assert f"data error: {command}: 1 of 3 rows scored NaN; the first is {row}." in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_row_that_overflows_inside_the_network_scores_1_or_0(trained, tmp_path):
+    """+-1e308 in one feature overflows inside the network, here to a logit
+    of about +-1e306; the row scores 1 or 0, with no RuntimeWarning."""
+    data, model = trained
+    header, row = Path(data).read_text().splitlines()[:2]
+    rest = row.split(",", 1)[1]
+    capture = tmp_path / "far.csv"
+    capture.write_text(f"{header}\n1e308,{rest}\n-1e308,{rest}\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", model, "--data", str(capture), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["1,1.0,DDoS", "2,0.0,BENIGN"]
+
+
 # ---------------------------------------------------------------- predict
 
 def test_predict_scores_every_clean_row(trained, tmp_path, capsys):

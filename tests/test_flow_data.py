@@ -578,6 +578,63 @@ def test_split_stratified_keeps_class_balance():
     assert int((train.labels == 1).sum()) == 8
 
 
+def two_branch_split(ds, cfg):
+    """The split as two rules: one over all rows, and one per class when
+    stratified, where an absent class draws no permutation."""
+    n = ds.n_rows
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    if cfg.stratify:
+        test_parts, train_parts = [], []
+        for cls in (0, 1):
+            cls_idx = np.flatnonzero(ds.labels == cls)
+            if cls_idx.size == 0:
+                continue
+            perm = cls_idx[rng.permutation(cls_idx.size)]
+            n_test = 0
+            if perm.size > 1:
+                n_test = min(max(math.floor(perm.size * cfg.test_fraction + 0.5), 1), perm.size - 1)
+            test_parts.append(perm[:n_test])
+            train_parts.append(perm[n_test:])
+        test_idx = np.concatenate(test_parts)
+        train_idx = np.concatenate(train_parts)
+    else:
+        perm = rng.permutation(n)
+        n_test = min(max(math.floor(n * cfg.test_fraction + 0.5), 1), n - 1)
+        test_idx, train_idx = perm[:n_test], perm[n_test:]
+
+    def take(idx):
+        return FlowDataset(
+            ds.feature_names, np.ascontiguousarray(ds.features[idx]), ds.labels[idx].copy()
+        )
+
+    return take(train_idx), take(test_idx)
+
+
+def test_split_matches_the_two_branch_rule():
+    """Down to singleton and absent classes under stratify, the one
+    per-group rule gives the rows of the two-branch rule."""
+    cases = 0
+    for n_benign in (0, 1, 2, 3, 7, 50):
+        for n_attack in (0, 1, 2, 5, 13):
+            n = n_benign + n_attack
+            if n < 2:
+                continue
+            labels = np.random.Generator(np.random.PCG64(n)).permutation([0] * n_benign + [1] * n_attack)
+            ds = _ds(np.arange(2.0 * n).reshape(n, 2), labels)
+            for stratify in (False, True):
+                for fraction in (0.2, 0.5, 0.9):
+                    for seed in (0, 7):
+                        cfg = SplitConfig(test_fraction=fraction, seed=seed, stratify=stratify)
+                        for got, want in zip(train_test_split(ds, cfg), two_branch_split(ds, cfg)):
+                            assert got.features.dtype == want.features.dtype
+                            assert got.labels.dtype == want.labels.dtype
+                            np.testing.assert_array_equal(got.features, want.features)
+                            np.testing.assert_array_equal(got.labels, want.labels)
+                            assert got.features.flags.c_contiguous
+                        cases += 1
+    assert cases == 324
+
+
 def test_split_too_small():
     ds = _ds([[1.0]], [0])
     with pytest.raises(DataError):

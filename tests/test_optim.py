@@ -34,12 +34,12 @@ def test_two_step_recurrence_matches_hand_values():
     # g = 2 twice with eta = 0.1: first step G=4, w = -0.1*2/sqrt(4) = -0.1;
     # second step G=8, delta = -0.1*2/sqrt(8) = -0.070711
     model = tiny_model()
-    w = model.output_affine.b
+    params = dict(named_parameters(model))
+    w = params["output_affine.b"]
     w[...] = 0.0
     opt = init_optimizer(model, eta=0.1, eps_opt=0.0)
-    # step just the one tensor so eps = 0 cannot hit 0/sqrt(0) elsewhere
-    params = {"output_affine.b": w}
-    g = {"output_affine.b": np.full_like(w, 2.0)}
+    # g = 2 in every tensor, so eps = 0 cannot hit 0/sqrt(0)
+    g = grads_like(params, 2.0)
 
     adagrad_step(opt, params, g)
     assert opt.accum["output_affine.b"][0] == 4.0
@@ -141,6 +141,21 @@ def test_missing_gradient_rejected():
     del g["output_affine.W"]
     with pytest.raises(KeyError):
         adagrad_step(opt, params, g)
+
+
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_params_must_name_exactly_the_optimizers_tensors(edit):
+    model = tiny_model()
+    params = dict(named_parameters(model))
+    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    g = grads_like(params, 1.0)
+    if edit == "drop":
+        del params["output_affine.W"]
+    else:
+        params["extra"] = g["extra"] = np.zeros(3)
+    with pytest.raises(KeyError, match="'extra'" if edit == "add" else "'output_affine.W'"):
+        adagrad_step(opt, params, g)
+    assert (opt.G == 0.0).all()
 
 
 def test_optimizer_covers_every_parameter():

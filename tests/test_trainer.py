@@ -4,6 +4,7 @@ convergence on an easy blob, and the report plumbing."""
 import numpy as np
 import pytest
 
+from ddosflow import trainer
 from ddosflow.flow_data import FlowDataset
 from ddosflow.errors import DataError
 from ddosflow.nn import (
@@ -274,17 +275,18 @@ def test_large_lambda_pins_predictions_to_anchors():
 
 # ------------------------------------------------------------ prediction
 
-def test_predict_proba_chunking_invariant():
+def test_predict_proba_chunking_invariant(monkeypatch):
     ds = blob_dataset(103, d=3)
     model = fresh_model(d=3, seed=19)
     full = predict_proba(model, ds.features)
-    chunked = predict_proba(model, ds.features, chunk_size=7)
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", 7)
+    chunked = predict_proba(model, ds.features)
     np.testing.assert_array_equal(full, chunked)
     assert ((full > 0) & (full < 1)).all()
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 520, 1030, 4097])
-def test_predict_proba_matches_one_pass_over_all_rows(n):
+def test_predict_proba_matches_one_pass_over_all_rows(n, monkeypatch):
     """Chunks of 256 to 4096 rows, the last one taking the leftover rows,
     give every row the bits of one forward pass over all rows."""
     rng = np.random.Generator(np.random.PCG64(21))
@@ -292,7 +294,8 @@ def test_predict_proba_matches_one_pass_over_all_rows(n):
     X = rng.standard_normal((n, 8)) * 2.0
     one_pass = sigmoid(model_forward(model, X)[0])
     for chunk_size in (256, 512, 1024, 4096):
-        assert predict_proba(model, X, chunk_size=chunk_size).tobytes() == one_pass.tobytes()
+        monkeypatch.setattr(trainer, "SCORE_CHUNK", chunk_size)
+        assert predict_proba(model, X).tobytes() == one_pass.tobytes()
 
 
 def test_predict_proba_width_mismatch():

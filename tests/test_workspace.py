@@ -175,7 +175,7 @@ WIRINGS = [
 
 
 @pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
-def test_shared_workspace_trains_like_fresh_workspaces(arch):
+def test_shared_workspace_trains_like_fresh_workspaces(arch, monkeypatch):
     """Steps, a shorter last batch and scoring passes through one workspace
     give the bits of the same calls each with a fresh workspace."""
     rng = np.random.Generator(np.random.PCG64(6))
@@ -185,6 +185,7 @@ def test_shared_workspace_trains_like_fresh_workspaces(arch):
     spec = LossSpec(kind="anchored", base="dice", lambda_anchor=0.5)
     ws = Workspace()
     score_rows = rows(rng, 300, 5)
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", 64)
     for m in (32, 32, 17, 32):
         X, y, anchors = rows(rng, m, 5), rng.integers(0, 2, m), rng.uniform(size=m)
         loss_a, grads_a = model_loss(shared, X, y, spec, anchors=anchors, ws=ws)
@@ -195,13 +196,13 @@ def test_shared_workspace_trains_like_fresh_workspaces(arch):
         adagrad_step(opts[0], params[0], grads_a, ws)
         adagrad_step(opts[1], params[1], grads_b)
         assert_same_bits(list(params[0].values()), list(params[1].values()))
-        proba_a = predict_proba(shared, score_rows, chunk_size=64, ws=ws)
-        assert_same_bits([proba_a], [predict_proba(fresh, score_rows, chunk_size=64)])
+        proba_a = predict_proba(shared, score_rows, ws=ws)
+        assert_same_bits([proba_a], [predict_proba(fresh, score_rows)])
 
 
 @pytest.mark.parametrize("mode", ["infer", "train"])
 @pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
-def test_uncached_pass_gives_the_cached_logits(arch, mode):
+def test_uncached_pass_gives_the_cached_logits(arch, mode, monkeypatch):
     """The pass without a cache runs the layers on three rotating buffers;
     its logits (and, in train mode, running statistics) are those of the
     pass that keeps every activation, through a shared workspace too, on
@@ -219,8 +220,10 @@ def test_uncached_pass_gives_the_cached_logits(arch, mode):
         assert_same_bits([got], [want])
         assert_same_bits([t for _, t in named_state(rotating)], [t for _, t in named_state(keeping)])
     if mode == "infer":
-        proba = predict_proba(rotating, X, chunk_size=64, ws=ws)
-        assert_same_bits([proba[128:]], [predict_proba(keeping, X[128:], chunk_size=101)])
+        monkeypatch.setattr(trainer, "SCORE_CHUNK", 64)
+        proba = predict_proba(rotating, X, ws=ws)
+        monkeypatch.setattr(trainer, "SCORE_CHUNK", 101)
+        assert_same_bits([proba[128:]], [predict_proba(keeping, X[128:])])
 
 
 @pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
@@ -329,7 +332,7 @@ def peak_rise(fn):
         tracemalloc.stop()
 
 
-def test_steady_state_step_and_scoring_chunk_allocate_no_activations():
+def test_steady_state_step_and_scoring_chunk_allocate_no_activations(monkeypatch):
     """Once the workspace holds its buffers, neither a training step nor a
     scoring chunk allocates an activation-sized array: what remains is the
     loss's and the sigmoid's per-row vectors and NumPy's 64 KiB iterator
@@ -347,8 +350,9 @@ def test_steady_state_step_and_scoring_chunk_allocate_no_activations():
         adagrad_step(opt, params, grads, ws)
 
     def score():
-        predict_proba(model, X, chunk_size=m, ws=ws)
+        predict_proba(model, X, ws=ws)
 
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", m)
     activation = m * width * 8
     for fn in (step, score):
         fn()
