@@ -266,6 +266,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     del raw
     with _stage("split"):
         train_ds, test_ds = train_test_split(ds, cfg.split)
+        del ds  # the split holds copies of its rows
         train_counts = np.bincount(train_ds.labels, minlength=2)
         if train_counts.min() < 2:  # SMOTE interpolates between minority rows
             raise DataError(
@@ -280,23 +281,19 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
     with _stage("scale"):
         scaler = fit_scaler(train_ds)
-        train_s = apply_scaler(train_ds, scaler)
-        test_s = apply_scaler(test_ds, scaler)
-    # only the scaled copies are used below. The cleaned set goes here, not
-    # after the split: freed that early, its pages were no longer at hand
-    # for SMOTE's arrays, and the peak RSS of train on the benchmark's
-    # cicids workload rose from 62.5 to 73.9 MB.
-    del ds, train_ds, test_ds
+        # the split's matrices are this command's own, so they scale in place
+        for part in (train_ds, test_ds):
+            scaler._scale_into(part.features, part.features)
     with _stage("smote"):
-        balanced, _ = oversample(train_s, cfg.smote)
+        balanced, _ = oversample(train_ds, cfg.smote)
     print(
-        f"train {train_s.n_rows} rows -> {balanced.n_rows} after oversampling "
-        f"({balanced.n_rows - train_s.n_rows} synthetic); test {test_s.n_rows} rows"
+        f"train {train_ds.n_rows} rows -> {balanced.n_rows} after oversampling "
+        f"({balanced.n_rows - train_ds.n_rows} synthetic); test {test_ds.n_rows} rows"
     )
 
     with _stage("train"):
-        model = init_model(train_s.n_features, cfg.architecture)
-        model, report, _ = run_dual_phase(model, train_s, balanced, cfg.train)
+        model = init_model(train_ds.n_features, cfg.architecture)
+        model, report, _ = run_dual_phase(model, train_ds, balanced, cfg.train)
     print(f"trained {len(report.records)} epochs in {report.wall_time_s:.1f}s")
 
     with _stage("save"):
@@ -304,7 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             model,
             model_path,
             extra={
-                "feature_names": list(train_s.feature_names),
+                "feature_names": list(train_ds.feature_names),
                 "scaler_means": [float(v) for v in scaler.means],
                 "scaler_stds": [float(v) for v in scaler.stds],
                 "scaler_fitted_on": scaler.fitted_on,
@@ -316,7 +313,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     with _stage("evaluate"):
         kv_path = os.path.join(args.out, "eval_report.kv")
-        table = _score_report(model, test_s, cfg.train.threshold, kv_path)
+        table = _score_report(model, test_ds, cfg.train.threshold, kv_path)
         with open(os.path.join(args.out, "eval_report.txt"), "w") as fh:
             fh.write(table + "\n")
     print(f"model: {model_path}")

@@ -100,10 +100,14 @@ class ScalerParams:
         """``X`` standardized as :func:`apply_scaler` does; a new C-ordered
         matrix, the only full-size array the call makes. A value too far
         from its column's mean for float64 scales to +-inf."""
+        return self._scale_into(X, None)
+
+    def _scale_into(self, X: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """:meth:`scale`, written into ``out`` (``X`` itself scales in place)."""
         if self.means.shape[0] != X.shape[1]:
             raise ValueError(f"scaler fits {len(self.means)} columns, not {X.shape[1]}")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = np.subtract(X, self.means, order="C")
+            scaled = np.subtract(X, self.means, out=out, order="C")
             scaled /= self.stds
         scaled[:, ~(self.stds > 0)] = 0.0
         return scaled
@@ -123,15 +127,21 @@ class SplitConfig:
 
 
 def _parse_cell(cell: str) -> tuple[float, bool]:
-    """Parse one CSV cell.
+    """Parse one CSV cell as ``float(cell.strip())``.
 
     Returns ``(value, is_numeric_evidence)``. Empty cells become NaN and
     count as no evidence either way; cells that fail to parse as a float
     also become NaN without evidence. Parseable cells (including "inf",
     "Infinity", "NaN") are evidence that the column is numeric.
     """
+    # float() strips the whitespace str.strip() strips but "\x1c"-"\x1f",
+    # so a cell it takes has that value, and the strip is seldom needed
+    try:
+        return float(cell), True
+    except ValueError:
+        pass
     s = cell.strip()
-    if not s:
+    if s == cell:
         return math.nan, False
     try:
         return float(s), True
@@ -140,37 +150,12 @@ def _parse_cell(cell: str) -> tuple[float, bool]:
 
 
 # The reader takes a file this many characters at a time (whole lines), so
-# its working memory stays bounded whatever the file's length. Blocks of
-# 1 Mi characters were no faster, and left the allocator holding about
-# 3 MB more during a later `train` (cold CICIDS-shaped run: 212.7 MB peak
-# RSS against 206.9 MB).
+# its working memory stays bounded whatever the file's length. On a 14 MB
+# CICIDS-shaped capture (78 columns, one BLAS thread), blocks of 128 Ki
+# characters read it in 220-234 ms (medians of 5, three repeats), 32 Ki
+# and 64 Ki in 226-285 ms, 256 Ki in 218-247 ms and 512 Ki in 264-273 ms;
+# the last two held 0.7 and 2.2 MB more traced memory.
 _BLOCK_CHARS = 1 << 17
-
-# Byte classes of the block scan (see _scan_block); delimiters are class 0.
-_DIGIT, _SIGN, _DOT, _SPACE, _ALPHA, _ODD, _DEAD = 1, 2, 4, 8, 16, 32, 64
-_INK = _DIGIT | _SIGN | _DOT | _ALPHA | _DEAD  # bytes that are never whitespace
-
-
-def _byte_classes() -> bytes:
-    table = bytearray([_DEAD]) * 256  # ASCII that float() never accepts
-    for chars, cls in (
-        (b",\n", 0),
-        (b"0123456789", _DIGIT),
-        (b"eE+-", _SIGN),
-        (b".", _DOT),
-        (b" \t", _SPACE),
-        # the letters of "inf", "infinity" and "nan", and digit grouping
-        (b"afintyAFINTY_", _ALPHA),
-        # whitespace that str.strip() removes, and every byte of a
-        # non-ASCII character (a digit or a space to float())
-        (b"\x0b\x0c\r\x1c\x1d\x1e\x1f" + bytes(range(128, 256)), _ODD),
-    ):
-        for c in chars:
-            table[c] = cls
-    return bytes(table)
-
-
-_BYTE_CLASS = _byte_classes()
 
 
 class _Block(NamedTuple):
@@ -250,8 +235,14 @@ def _read_rows(
     Returns the float64 matrix of columns ``take``, the count of parsing
     cells per column, the label codes (``tokens`` maps a trimmed,
     casefolded label cell to its code) and the 1-based row numbers of the
-    data rows. Each block goes through :func:`_scan_block`, or through
-    :func:`_csv_block` when the scan declines it; both give the same result.
+    data rows. Each block goes to NumPy's C parser (:func:`_c_block`) first,
+    and to :func:`_csv_block` when the C parser declines it; both give the
+    same result. A requested column in which a :func:`_csv_block` block had
+    a cell that ``float()`` rejects is loose from then on: the C parser
+    hands its cells to ``float()`` one by one, so it no longer declines a
+    block for them. Such cells (empty, "n/a", identifiers) mostly sit in a
+    few columns, so after the first blocks that find them, about every
+    block is one C-parser call.
 
     Every block is written into one matrix, allocated before the first for
     as many rows as :func:`_record_bound` allows, and the filled rows are
@@ -268,10 +259,15 @@ def _read_rows(
     labels = np.empty(0 if label_idx is None else bound, dtype=np.int64)
     rows = np.empty(bound, dtype=np.int64)
     evidence = np.zeros(len(take), dtype=np.int64)
+    loose: set[int] = set()
     n = row_no = 0
     while lines := fh.readlines(_BLOCK_CHARS):
         args = (row_no, n_fields, take_idx, label_idx, tokens)
-        block = _scan_block(lines, *args) or _csv_block(lines, fh, path, *args)
+        block = _c_block(lines, *args, loose)
+        if block is None:
+            block = _csv_block(lines, fh, path, *args)
+            # a column with a cell float() rejects fails the C parser again
+            loose.update(np.flatnonzero(block.evidence < block.rows.size).tolist())
         end = n + block.rows.size
         if end > bound:
             raise DataError(f"{path}: the file grew while it was read")
@@ -338,127 +334,84 @@ def _csv_block(
     )
 
 
-def _scan_block(
+def _c_block(
     lines: list[str],
     row_no: int,
     n_fields: int,
     take: np.ndarray,
     label_idx: int | None,
     tokens: dict[str, int] | None,
+    loose: set[int],
 ) -> _Block | None:
-    """Parse a block with a byte scan and NumPy's C float parser.
+    """Parse a block with NumPy's C parser; None leaves it to :func:`_csv_block`.
 
-    Every line is one record, split at commas. The scan sorts each cell by
-    the classes of its bytes:
+    NumPy's parser and ``float()`` both strip whitespace and call CPython's
+    string-to-double, so a cell the C parser accepts has the value
+    :func:`_parse_cell` gives it. A cell it rejects sends the block to
+    :func:`_csv_block`, which also reads the cells that ``float()`` takes
+    and the C parser does not ("1_000", non-ASCII digits). The ``loose``
+    columns (places in ``take``), where an earlier block held a cell that
+    ``float()`` rejects, are read one cell at a time by the rule of
+    :func:`_parse_cell` instead; their evidence counts the cells that parse.
+    Every other column's evidence is the block's row count.
 
-    * plain -- only digits, "eE+-", at most one dot, spaces and tabs:
-      ``np.loadtxt`` parses these. NumPy's C parser and ``float()`` call the
-      same CPython string-to-double, so a plain cell the C parser accepts
-      has the value ``float()`` gives it;
-    * dead -- two or more dots, an ASCII character ``float()`` never
-      accepts, or no digit, no letter of "inf"/"nan" and no non-ASCII byte
-      (flow IDs, IP addresses, timestamps, "n/a", empty cells): NaN and no
-      evidence, as ``float()`` must reject them;
-    * the rest ("Infinity", "nan", "1_000", non-ASCII digits or spaces)
-      goes through :func:`_parse_cell`.
-
-    In a column that also has plain cells, the other cells are overwritten
-    with "0" for ``np.loadtxt`` and their values set afterwards.
-
-    Returns None, for :func:`_csv_block` to parse the block, when the block
-    holds what the scan does not model: a quote, a NUL, a lone carriage
-    return, a line longer than csv's field limit, a row whose cells hold
-    only whitespace and non-ASCII bytes, a ragged row or an unknown label;
-    or when the C parser rejects a plain cell (such as "1-2"). So a cell
-    wrongly taken for plain costs time, never a different value.
+    Every line must be one record: the block is declined when it holds a
+    quote, a NUL or a lone carriage return, a line longer than csv's field
+    limit, a line without exactly ``n_fields - 1`` commas or an unknown
+    label. It is declined, too, when every requested column is loose: a
+    blank line fails the C parser only in a column the C parser reads.
     """
     text = "".join(lines)
-    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+    if (
+        len(loose) == len(take)
+        or '"' in text
+        or "\0" in text
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, itertools.repeat(","))) != {n_fields - 1}
+    ):
         return None
-    if "\r" in text:  # csv ends a record at "\r\n" as at "\n"
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = text.encode()
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
-
-    # every cell ends at a comma or, the last of its line, at a newline
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    last = np.flatnonzero(buf[ends] == ord("\n"))
-    first = np.concatenate(([0], last[:-1] + 1))
-    width = last - first + 1
-
-    # a reduceat segment runs up to the next cell's start, so it also holds
-    # the cell's delimiter, of class 0
-    flags = np.bitwise_or.reduceat(codes, starts)
-    dots = np.add.reduceat(codes == _DOT, starts, dtype=np.int32)
-    dead = (flags & _DEAD != 0) | (dots > 1) | (flags & (_DIGIT | _ALPHA | _ODD) == 0)
-    plain = ~dead & (flags & (_ALPHA | _ODD) == 0)
-    maybe = ~dead & ~plain
-
-    # a row is blank when every cell strips to nothing; csv.reader decides
-    # rows whose only non-space bytes are non-ASCII, and raises the error
-    # of a ragged row or an unknown label with the row's number
-    data = np.logical_or.reduceat(flags & _INK != 0, first)
-    if (np.logical_or.reduceat(flags & _ODD != 0, first) & ~data).any():
-        return None
-    rows = np.flatnonzero(data)
-    if (width[rows] != n_fields).any():
-        return None
-
     labels = np.empty(0, dtype=np.int64)
     if label_idx is not None:
-        at = first[rows] + label_idx
-        found = [raw[s:e] for s, e in zip(starts[at].tolist(), ends[at].tolist())]
-        code = {t: tokens.get(t.decode().strip().casefold(), -1) for t in set(found)}
-        labels = np.array([code[t] for t in found], dtype=np.int64)
-        if (labels < 0).any():
+        # the label cell, split off from the nearer end of each line
+        if 2 * label_idx < n_fields:
+            cells = [line.split(",", label_idx + 1)[label_idx] for line in lines]
+        else:
+            cells = [line.rsplit(",", n_fields - label_idx)[1] for line in lines]
+        code = {c: tokens.get(c.strip().casefold(), -1) for c in set(cells)}
+        if -1 in code.values():
             return None
+        labels = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
-    cells = first[rows, None] + take
-    plain_cells = plain[cells]
-    values = np.full(cells.shape, np.nan)
-    use = np.flatnonzero(plain_cells.any(axis=0))
-    if use.size:
-        patch = cells[:, use][~plain_cells[:, use]]
-        if patch.size:
-            text = _zero_cells(buf, starts[patch], ends[patch])
-        body = text.split("\n")
-        try:
-            values[:, use] = np.loadtxt(
-                [body[i] for i in rows],
-                delimiter=",",
-                comments=None,
-                dtype=np.float64,
-                usecols=take[use],
-                ndmin=2,
-            )
-        except ValueError:
-            return None
-        values[~plain_cells] = np.nan
-    evidence = plain_cells.sum(axis=0)
-    for r, c in zip(*np.nonzero(maybe[cells])):
-        i = cells[r, c]
-        values[r, c], ok = _parse_cell(raw[starts[i] : ends[i]].decode())
-        evidence[c] += ok
-    return _Block(values, evidence, labels, row_no + 1 + rows, width.size)
+    rejected = dict.fromkeys(loose, 0)
 
+    def converter(j: int):
+        def parse(cell: str) -> float:
+            value, ok = _parse_cell(cell)
+            rejected[j] += not ok
+            return value
 
-def _zero_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
-    """The block's text with each cell ``[starts, ends)`` replaced by "0"."""
-    size = ends - starts
-    # the offset of every byte of those cells: each cell's start, repeated
-    # once per byte, plus the byte's place in the cell
-    before = np.cumsum(size) - size
-    inside = np.repeat(starts - before, size) + np.arange(size.sum())
-    out = buf.copy()
-    out[inside] = ord(" ")
-    out[starts[size > 0]] = ord("0")
-    return np.insert(out, starts[size == 0], ord("0")).tobytes().decode()
+        return parse
+
+    try:
+        values = np.loadtxt(
+            lines,
+            delimiter=",",
+            comments=None,
+            usecols=take,
+            ndmin=2,
+            converters={int(take[j]): converter(j) for j in loose},
+            encoding=None,  # converters get str; NumPy 1.x's default passes bytes
+        )
+    except ValueError:
+        return None
+    if values.shape[0] != len(lines):  # an empty line, which loadtxt skips
+        return None
+    evidence = np.full(len(take), len(lines), dtype=np.int64)
+    for j, count in rejected.items():
+        evidence[j] -= count
+    rows = np.arange(row_no + 1, row_no + 1 + len(lines))
+    return _Block(values, evidence, labels, rows, len(lines))
 
 
 def _find_columns(path: str, header: Sequence[str], wanted: Sequence[str]) -> list[int]:
@@ -497,9 +450,12 @@ def load_flow_csv(
     case-insensitively after trimming; they are encoded 0 and 1.
 
     The file is read in blocks of whole lines, about 128 K characters
-    each: NumPy's C parser reads the cells that are plain decimal numbers,
-    and only the rest go through ``float()`` one by one, with the same
-    results.
+    each, by NumPy's C parser, which gives a cell the value ``float()``
+    gives it. The columns where a cell failed it in an earlier block
+    (identifier columns, a rate column with empty cells) go through
+    ``float()`` one cell at a time, and a block the C parser cannot read
+    (quoted fields, blank lines, cells such as "1_000") goes through
+    csv.reader, with the same results.
 
     Args:
         path: CSV file with a header row (RFC 4180, UTF-8).
@@ -558,7 +514,7 @@ def load_feature_matrix(
     Used for scoring unlabeled flows: any label or extra columns are
     ignored. Header names and cells are read as in :func:`load_flow_csv`
     (``float(cell.strip())``, NaN when empty or unparseable, block by block
-    through NumPy's C parser), for the caller to handle. Returns the matrix
+    through NumPy's C parser first), for the caller to handle. Returns the matrix
     and the 1-based data-row number of every returned row (rows whose
     cells are all blank are skipped, so numbers may have gaps).
 

@@ -2,7 +2,7 @@
 
 Synthetic rows are built by walking the minority class in row order,
 drawing one of each row's k nearest minority neighbors and a uniform
-random fraction, then interpolating every row in one array expression:
+random fraction, then interpolating every row at once:
 
     new = parent + lam * (neighbor - parent),  lam ~ U[0, 1)
 
@@ -58,12 +58,14 @@ class SmoteProvenance(NamedTuple):
     lambda_interp: np.ndarray
 
 
-# Float64 cells (4 MB) per working array: a block of Gram rows, its
+# Float64 cells (1 MB) per working array: a block of Gram rows, its
 # candidate pairs and each chunk of re-rank difference rows stay within
-# this, so the search holds under 40 MB beside the input and its centred
+# this, so the search holds under 10 MB beside the input and its centred
 # copy however wide the candidate sets grow (for n <= _BLOCK_CELLS; one
-# query row always takes n cells).
-_BLOCK_CELLS = 1 << 19
+# query row always takes n cells). On 1600 x 78 rows (one BLAS thread),
+# the search took 39-41 ms with blocks of 1 << 17 cells, 43-52 ms with
+# 1 << 19.
+_BLOCK_CELLS = 1 << 17
 
 
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
@@ -191,7 +193,9 @@ def oversample(
     through the minority rows in dataset order; for each visit one of the
     parent's k nearest neighbors and then one interpolation factor are
     drawn from a single seeded RNG stream, so a fixed seed reproduces the
-    synthetic rows bitwise; one :func:`synthesize` call then builds them.
+    synthetic rows bitwise. They are built by :func:`synthesize`'s
+    arithmetic, in place in the balanced matrix, beside one temporary of
+    the synthetic rows' size.
 
     Returns:
         ``(balanced_dataset, provenance)``: the :class:`SmoteProvenance`
@@ -223,8 +227,17 @@ def oversample(
     parent = np.arange(n_new) % n_min
     parent_index = min_rows[parent]
     neighbor_index = min_rows[neighbors[parent, col]]
-    synth = synthesize(ds.features[parent_index], ds.features[neighbor_index], lam)
+
+    # synthesize's arithmetic, written into the tail of the balanced matrix
+    features = np.empty((ds.n_rows + n_new, ds.n_features))
+    features[: ds.n_rows] = ds.features
+    synth = features[ds.n_rows :]
+    synth[...] = ds.features[parent_index]
+    step = ds.features[neighbor_index]
+    step -= synth
+    step *= lam[:, None]
+    synth += step
 
     labels = np.concatenate([ds.labels, np.full(n_new, minority_label, dtype=np.int64)])
-    balanced = FlowDataset(ds.feature_names, np.vstack([ds.features, synth]), labels)
+    balanced = FlowDataset(ds.feature_names, features, labels)
     return balanced, SmoteProvenance(parent_index, neighbor_index, lam)

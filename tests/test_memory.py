@@ -1,5 +1,6 @@
 """Memory budgets: how many copies of a capture's feature matrix reading,
-scaling and scoring hold at their peak, as traced by tracemalloc.
+scaling and scoring hold at their peak, and what oversampling holds beside
+the matrix it returns, as traced by tracemalloc.
 
 NumPy reports its array buffers to tracemalloc, so a traced peak counts
 every matrix, temporary and block buffer alive at once.
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 from ddosflow.cli import main
-from ddosflow.flow_data import ScalerParams, load_feature_matrix, load_flow_csv
+from ddosflow.flow_data import FlowDataset, ScalerParams, load_feature_matrix, load_flow_csv
+from ddosflow.smote import SmoteConfig, oversample
 
 N_ROWS, N_FEATURES = 5000, 78  # a CICIDS2017-wide capture; its matrix is 3.1 MB
 NAMES = [f"f{j}" for j in range(N_FEATURES)]
 MATRIX_BYTES = N_ROWS * N_FEATURES * 8
 # what the reader holds for one block of lines besides the matrix: the
-# block's text, its cell offsets and its parsed values
+# block's lines and their joined text, and its parsed values
 BLOCK_BYTES = 3 << 19
 
 
@@ -82,6 +84,17 @@ def test_scaling_makes_only_its_result():
     scaler = ScalerParams(means=X.mean(axis=0), stds=stds, fitted_on=N_ROWS)
     peak, _ = _traced_peak(lambda: scaler.scale(X))
     assert peak <= 1.1 * X.nbytes
+
+
+def test_oversampling_holds_the_balanced_matrix_and_one_temporary():
+    rng = np.random.Generator(np.random.PCG64(5))
+    labels = (rng.random(N_ROWS) < 0.3).astype(np.int64)
+    ds = FlowDataset(tuple(NAMES), rng.normal(size=(N_ROWS, N_FEATURES)), labels)
+    peak, (balanced, _) = _traced_peak(lambda: oversample(ds, SmoteConfig()))
+    synthetic_bytes = balanced.features.nbytes - ds.features.nbytes
+    assert synthetic_bytes > MATRIX_BYTES / 3
+    # the synthetic rows are built in place, beside one temporary of their size
+    assert peak <= 1.1 * (balanced.features.nbytes + synthetic_bytes)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
