@@ -20,9 +20,11 @@ import sys
 import numpy as np
 
 # The commands call these by name; perfbench/layers.py replaces them to time each:
-# load_flow_csv clean train_test_split fit_scaler apply_scaler load_feature_matrix
+# load_flow_csv clean train_test_split fit_scaler load_feature_matrix
 # oversample init_model run_dual_phase predict_proba save_model load_model
-# write_train_report_csv build_report format_report_table format_report_kv
+# write_train_report_csv build_report format_report_table format_report_kv.
+# apply_scaler is imported for it too, though no command calls it: evaluate
+# and predict scale inside the capture's matrix (flow_data._scorable_in_place).
 from .config import (
     DataConfig,
     PipelineConfig,
@@ -37,6 +39,8 @@ from .errors import ConfigError, DataError
 from .flow_data import (
     FlowDataset,
     ScalerParams,
+    _finite_means,
+    _scorable_in_place,
     apply_scaler,
     clean,
     fit_scaler,
@@ -54,7 +58,7 @@ from .nn import (
     load_model,
     save_model,
 )
-from .smote import oversample
+from .smote import oversample, synthetic_count
 from .synth import SyntheticSpec, write_synthetic_csv
 from .trainer import (
     classify,
@@ -77,10 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Prefix errors with the pipeline stage that raised them. The error is
-    raised again as the one of DataError, OSError and ValueError it is, the
-    classes :func:`main` tells apart: a subclass's constructor may take
-    other arguments."""
+    """Prefix errors with the pipeline stage, or the file, that raised them.
+    The error is raised again as the one of DataError, OSError and
+    ValueError it is, the classes :func:`main` tells apart: a subclass's
+    constructor may take other arguments."""
     try:
         yield
     except (DataError, OSError, ValueError) as exc:
@@ -190,7 +194,7 @@ def _scoring_model(
 
 
 def _score(
-    model: ModelParams, X: np.ndarray, row_numbers: list[int] | None = None
+    model: ModelParams, X: np.ndarray, row_numbers: np.ndarray | None = None
 ) -> np.ndarray:
     """The attack probability of each scaled row of ``X``.
 
@@ -265,7 +269,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         ds = clean(raw)
     del raw
     with _stage("split"):
-        train_ds, test_ds = train_test_split(ds, cfg.split)
+        # the training rows are gathered once, into the head of the matrix
+        # that SMOTE fills
+        train_ds, test_ds = train_test_split(
+            ds, cfg.split, room=lambda labels: synthetic_count(labels, cfg.smote)
+        )
         del ds  # the split holds copies of its rows
         train_counts = np.bincount(train_ds.labels, minlength=2)
         if train_counts.min() < 2:  # SMOTE interpolates between minority rows
@@ -325,11 +333,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model, names, scaler, threshold, labels = _scoring_model(args)
     with _stage("load"):
         raw, _ = load_flow_csv(args.data, **dataclasses.asdict(labels), columns=names)
-    with _stage("clean"):
-        ds = clean(raw)
-    del raw
+    # the capture is this command's own, so it is made ready in place;
+    # infinities take the mean of their column's finite cells, as in clean()
+    with _stage(args.data):
+        X, y = _scorable_in_place(
+            raw.features, raw.labels, lambda kept: _finite_means(kept, names), scaler
+        )
     with _stage("evaluate"):
-        _score_report(model, apply_scaler(ds, scaler), threshold, args.out)
+        _score_report(model, FlowDataset(names, X, y), threshold, args.out)
     if args.out:
         print(f"report: {args.out}")
     return 0
@@ -343,19 +354,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
         X, row_numbers = load_feature_matrix(args.data, names)
 
     # rows with unparseable cells are dropped; infinities take the scaler's
-    # means. X is this command's own, so it is filled in place.
-    keep = ~np.isnan(X).any(axis=1)
-    n_dropped = int((~keep).sum())
-    if n_dropped:
-        X = X[keep]
-        row_numbers = np.asarray(row_numbers)[keep].tolist()
-    if X.shape[0] == 0:
-        raise DataError(f"{args.data}: no scorable rows")
-    np.copyto(X, scaler.means, where=np.isinf(X))
-    X = scaler.scale(X)
+    # means. X is this command's own, so it is made ready in place.
+    n_read = X.shape[0]
+    with _stage(args.data):
+        X, rows = _scorable_in_place(
+            X, np.asarray(row_numbers), lambda _: scaler.means, scaler
+        )
+    del row_numbers
+    n_dropped = n_read - X.shape[0]
 
     with _stage("predict"):
-        proba = _score(model, X, row_numbers)
+        proba = _score(model, X, rows)
     pred = classify(proba, threshold)
 
     with _stage("write"):
@@ -365,7 +374,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             # csv writes a float with repr, which round-trips it exactly
             writer.writerows(
                 (r, p, attack if c else benign)
-                for r, p, c in zip(row_numbers, proba.tolist(), pred.tolist())
+                for r, p, c in zip(rows.tolist(), proba.tolist(), pred.tolist())
             )
     flagged = int(pred.sum())
     note = f", dropped {n_dropped} rows with unparseable cells" if n_dropped else ""

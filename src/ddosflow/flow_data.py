@@ -7,8 +7,10 @@ benign=0 / attack=1, NaN rows removed, infinities replaced by column
 means, and features standardized with statistics fitted on the training
 partition only.
 
-All functions are pure: they return new objects and never mutate their
-inputs, so they are safe to call concurrently.
+All public functions are pure: they return new objects and never mutate
+their inputs, so they are safe to call concurrently. The private
+:func:`_scorable_in_place`, which readies a capture for ``evaluate`` and
+``predict``, works inside the caller's matrix instead.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import contextlib
 import csv
 import itertools
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -75,6 +77,16 @@ class FlowDataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+
+@dataclass(frozen=True)
+class _WithRoom(FlowDataset):
+    """A training set whose ``features`` are the first rows of ``matrix``:
+    the rows after them are room that :func:`~ddosflow.smote.oversample`
+    fills with its synthetic rows, so the training rows are held once.
+    Each call fills the same room, overwriting the last call's rows."""
+
+    matrix: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -547,15 +559,83 @@ def clean(ds: FlowDataset) -> FlowDataset:
     labels = ds.labels[keep]
     if features.shape[0] == 0:
         raise DataError("empty dataset after cleaning")
-
-    finite = np.isfinite(features)
-    for j in np.flatnonzero(~finite.all(axis=0)):
-        col_finite = finite[:, j]
-        if not col_finite.any():
-            raise DataError(f"column {ds.feature_names[j]!r} has no finite values")
-        mean = features[col_finite, j].mean()
-        features[~col_finite, j] = mean
+    _fill_inf(features, _finite_means(features, ds.feature_names))
     return FlowDataset(ds.feature_names, features, labels)
+
+
+# Cells per block of rows in the in-place steps below (512 KB of float64):
+# the only temporaries they make are one block's.
+_ROW_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first row, view)`` of each block of ``X``'s rows, in order."""
+    step = max(1, _ROW_BLOCK_CELLS // max(X.shape[1], 1))
+    for start in range(0, X.shape[0], step):
+        yield start, X[start : start + step]
+
+
+def _finite_means(X: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """:func:`clean`'s ±inf fill values for a matrix without NaN: the mean of
+    the finite cells of each column that holds ±inf, 0 in the others.
+
+    Raises:
+        DataError: a column (named) holds ±inf and no finite value.
+    """
+    has_inf = np.zeros(X.shape[1], dtype=bool)
+    for _, block in _row_blocks(X):
+        has_inf |= np.isinf(block).any(axis=0)
+    values = np.zeros(X.shape[1])
+    for j in np.flatnonzero(has_inf):
+        finite = X[np.isfinite(X[:, j]), j]
+        if not finite.size:
+            raise DataError(f"column {names[j]!r} has no finite values")
+        values[j] = finite.mean()
+    return values
+
+
+def _fill_inf(X: np.ndarray, values: np.ndarray) -> None:
+    """Replace each ±inf cell of ``X``, in place, by its column's ``values`` entry."""
+    for _, block in _row_blocks(X):
+        np.copyto(block, values, where=np.isinf(block))
+
+
+def _scorable_in_place(
+    X: np.ndarray,
+    tags: np.ndarray,
+    fill_values: Callable[[np.ndarray], np.ndarray],
+    scaler: ScalerParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ready a capture's matrix for scoring inside it: the step ``evaluate``
+    and ``predict`` share.
+
+    The rows without a NaN cell move to the front of ``X``, in order, and
+    their ``tags`` (labels or row numbers) with them, one block of rows at
+    a time. In the kept rows each ±inf cell takes its column's entry of
+    ``fill_values(kept rows)``, the command's fill rule, and the rows are
+    standardized by ``scaler``, with the bits of :func:`clean` or that rule
+    followed by :meth:`ScalerParams.scale`. Both arrays are the caller's
+    own and are overwritten; the only temporaries are one block's.
+
+    Returns:
+        ``(X[:n], tags[:n])`` for the ``n`` kept rows.
+
+    Raises:
+        DataError: every row holds a NaN cell, or the fill rule's own.
+    """
+    n = 0
+    for start, block in _row_blocks(X):
+        keep = np.flatnonzero(~np.isnan(block).any(axis=1))
+        if n < start or keep.size < block.shape[0]:  # else the rows are in place
+            X[n : n + keep.size] = block[keep]  # the gather copies first
+            tags[n : n + keep.size] = tags[start + keep]
+        n += keep.size
+    if not n:
+        raise DataError("no scorable rows")
+    X, tags = X[:n], tags[:n]
+    _fill_inf(X, fill_values(X))
+    scaler._scale_into(X, X)
+    return X, tags
 
 
 def _round_half_up(x: float) -> int:
@@ -564,7 +644,9 @@ def _round_half_up(x: float) -> int:
 
 
 def train_test_split(
-    ds: FlowDataset, cfg: SplitConfig
+    ds: FlowDataset,
+    cfg: SplitConfig,
+    room: Callable[[np.ndarray], int] | None = None,
 ) -> tuple[FlowDataset, FlowDataset]:
     """Deterministically shuffle and partition rows into train and test.
 
@@ -576,6 +658,13 @@ def train_test_split(
     of every row, so both partitions are nonempty. The shuffles draw from
     one PCG64 generator seeded with ``cfg.seed``, so the partition is
     bit-reproducible across runs and platforms.
+
+    Each partition's rows are gathered once, into a new C-ordered matrix.
+    With ``room``, the training rows are gathered into the head of a matrix
+    with ``room(training labels)`` more rows, which
+    :func:`~ddosflow.smote.oversample` then fills in place of a copy; pass
+    ``lambda y: synthetic_count(y, smote_cfg)`` from :mod:`ddosflow.smote`
+    for exactly its rows. The partition is the same either way.
 
     Raises:
         DataError: fewer than 2 rows.
@@ -592,12 +681,18 @@ def train_test_split(
         n_test = min(max(_round_half_up(k * cfg.test_fraction), 1), k - 1) if k > 1 else 0
         test_parts.append(perm[:n_test])
         train_parts.append(perm[n_test:])
+    train_idx, test_idx = np.concatenate(train_parts), np.concatenate(test_parts)
 
-    def take(parts: list[np.ndarray]) -> FlowDataset:
-        idx = np.concatenate(parts)
-        return FlowDataset(ds.feature_names, ds.features[idx], ds.labels[idx])
-
-    return take(train_parts), take(test_parts)
+    labels = ds.labels[train_idx]
+    extra = 0 if room is None else room(labels)
+    matrix = np.empty((train_idx.size + extra, ds.n_features), dtype=ds.features.dtype)
+    # the indices are in range; mode "raise" would gather into a temporary
+    features = np.take(ds.features, train_idx, axis=0, out=matrix[: train_idx.size], mode="clip")
+    if room is None:
+        train = FlowDataset(ds.feature_names, features, labels)
+    else:
+        train = _WithRoom(ds.feature_names, features, labels, matrix)
+    return train, FlowDataset(ds.feature_names, ds.features[test_idx], ds.labels[test_idx])
 
 
 def fit_scaler(train: FlowDataset) -> ScalerParams:

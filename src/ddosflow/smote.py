@@ -19,13 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .flow_data import FlowDataset, _round_half_up
+from .flow_data import FlowDataset, _round_half_up, _WithRoom
 
 __all__ = [
     "SmoteConfig",
     "SmoteProvenance",
     "minority_neighbors",
     "synthesize",
+    "synthetic_count",
     "oversample",
 ]
 
@@ -183,6 +184,16 @@ def synthesize(
     return x_i + lam[..., None] * (x_zi - x_i)
 
 
+def synthetic_count(labels: np.ndarray, cfg: SmoteConfig) -> int:
+    """How many rows :func:`oversample` adds to a dataset with these labels:
+    enough to raise the minority class to ``round(target_ratio * majority
+    count)`` rows (half up), or 0 when it has that many or a class is absent."""
+    counts = np.bincount(labels, minlength=2)
+    if not counts.all():
+        return 0
+    return max(0, _round_half_up(cfg.target_ratio * int(counts.max())) - int(counts.min()))
+
+
 def oversample(
     ds: FlowDataset, cfg: SmoteConfig
 ) -> tuple[FlowDataset, SmoteProvenance]:
@@ -197,6 +208,12 @@ def oversample(
     arithmetic, in place in the balanced matrix, beside one temporary of
     the synthetic rows' size.
 
+    The balanced matrix is the room the split left after ``ds.features``
+    (``train_test_split(..., room=...)``) when it holds the
+    :func:`synthetic_count` new rows: the training rows are not copied,
+    and ``ds.features`` is its head. Otherwise it is a new matrix, and
+    ``ds`` is left as it is.
+
     Returns:
         ``(balanced_dataset, provenance)``: the :class:`SmoteProvenance`
         of the appended rows, empty arrays when none are added.
@@ -208,13 +225,12 @@ def oversample(
     if counts[0] == 0 or counts[1] == 0:
         raise DataError("oversample requires both classes present")
 
-    minority_label = 0 if counts[0] < counts[1] else 1
-    n_min = int(counts[minority_label])
-    n_new = _round_half_up(cfg.target_ratio * int(counts[1 - minority_label])) - n_min
-    if n_new <= 0:
+    n_new = synthetic_count(ds.labels, cfg)
+    if n_new == 0:
         empty = np.empty(0, dtype=np.int64)
         return ds, SmoteProvenance(empty, empty, np.empty(0))
 
+    minority_label = 0 if counts[0] < counts[1] else 1
     min_rows = np.flatnonzero(ds.labels == minority_label)
     neighbors = minority_neighbors(ds.features[min_rows], cfg.k)
 
@@ -224,13 +240,17 @@ def oversample(
     for s in range(n_new):  # one stream, per row: neighbor, then factor
         col[s], lam[s] = rng.integers(0, neighbors.shape[1]), rng.random()
 
-    parent = np.arange(n_new) % n_min
+    parent = np.arange(n_new) % min_rows.size
     parent_index = min_rows[parent]
     neighbor_index = min_rows[neighbors[parent, col]]
 
+    rows = ds.n_rows + n_new
+    if isinstance(ds, _WithRoom) and ds.matrix.shape[0] >= rows:
+        features = ds.matrix[:rows]
+    else:
+        features = np.empty((rows, ds.n_features))
+        features[: ds.n_rows] = ds.features
     # synthesize's arithmetic, written into the tail of the balanced matrix
-    features = np.empty((ds.n_rows + n_new, ds.n_features))
-    features[: ds.n_rows] = ds.features
     synth = features[ds.n_rows :]
     synth[...] = ds.features[parent_index]
     step = ds.features[neighbor_index]

@@ -634,6 +634,20 @@ def test_predict_drops_unparseable_rows(trained, tmp_path, capsys):
     assert "dropped 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_a_capture_with_no_scorable_row_is_one_data_error(trained, tmp_path, capsys, command):
+    """Every row has an empty cell, so both commands drop every row: they
+    stop with the same message, which names the file, and write nothing."""
+    data, model = trained
+    header, *rows = Path(data).read_text().splitlines()[:4]
+    capture = tmp_path / "empty_cells.csv"
+    capture.write_text("\n".join([header, *("," + r.split(",", 1)[1] for r in rows)]) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--model", model, "--data", str(capture), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {capture}: no scorable rows\n"
+    assert not out.exists()
+
+
 def test_predict_threshold_changes_labels(trained, tmp_path):
     data, model = trained
     lo = tmp_path / "lo.csv"

@@ -586,6 +586,101 @@ def test_clean_all_inf_column_named():
         clean(ds)
 
 
+def _evaluate_reference(X, labels, names, scaler):
+    """evaluate's path before scoring in place: clean, then apply_scaler."""
+    try:
+        ds = clean(FlowDataset(names, X, labels))
+    except DataError as exc:
+        if "empty dataset" in str(exc):
+            raise DataError("no scorable rows") from None
+        raise
+    ds = apply_scaler(ds, scaler)
+    return ds.features, ds.labels
+
+
+def _predict_reference(X, rows, scaler):
+    """predict's path before scoring in place: X[keep], the scaler-mean
+    fill, then scaler.scale."""
+    keep = ~np.isnan(X).any(axis=1)
+    X, rows = X[keep], rows[keep]
+    if X.shape[0] == 0:
+        raise DataError("no scorable rows")
+    np.copyto(X, scaler.means, where=np.isinf(X))
+    return scaler.scale(X), rows
+
+
+def _scored(fn, *args):
+    """What a scoring path gives: its error's message, or the shape, bits and
+    tags of its rows."""
+    try:
+        X, tags = fn(*args)
+    except DataError as exc:
+        return str(exc)
+    assert X.flags.c_contiguous
+    return X.shape, X.view(np.int64).tolist(), tags.tolist()
+
+
+def test_scoring_in_place_gives_each_commands_reference_bits():
+    """flow_data._scorable_in_place, with each command's fill rule, keeps the
+    rows, labels, row numbers and value bits of that command's old path, in
+    blocks of a few rows so runs of dropped rows cross block edges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+
+    @st.composite
+    def captures(draw):
+        d = draw(st.integers(1, 4))
+        # runs of rows that keep or drop, so drops cross block edges in runs
+        runs = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=8))
+        dropped = [drop for length, drop in runs for _ in range(length)]
+        n = len(dropped)
+        X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+        for i in np.flatnonzero(dropped):
+            X[i, draw(st.integers(0, d - 1))] = math.nan
+        for _ in range(draw(st.integers(0, 2 * n))):  # +-inf anywhere, NaN rows too
+            X[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf])
+            )
+        means = np.array(draw(st.lists(values, min_size=d, max_size=d)))
+        stds = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 1e4]), min_size=d, max_size=d)))
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        return X, labels, ScalerParams(means, stds, fitted_on=n)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(capture=captures(), block_cells=st.integers(1, 16))
+    # no row dropped
+    @hypothesis.example(
+        capture=(np.array([[1.0, math.inf], [2.0, 3.0]]), np.array([0, 1]),
+                 ScalerParams(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 2)),
+        block_cells=2,
+    )
+    # every row but one dropped
+    @hypothesis.example(
+        capture=(np.array([[math.nan, 1.0], [math.nan, 2.0], [4.0, -math.inf], [5.0, math.nan]]),
+                 np.array([1, 0, 1, 0]), ScalerParams(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 4)),
+        block_cells=2,
+    )
+    def check(capture, block_cells):
+        X, labels, scaler = capture
+        names = tuple(f"c{j}" for j in range(X.shape[1]))
+        rows = np.arange(1, X.shape[0] + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow_data, "_ROW_BLOCK_CELLS", block_cells)
+            evaluated = _scored(
+                flow_data._scorable_in_place, X.copy(), labels.copy(),
+                lambda kept: flow_data._finite_means(kept, names), scaler,
+            )
+            predicted = _scored(
+                flow_data._scorable_in_place, X.copy(), rows.copy(),
+                lambda _: scaler.means, scaler,
+            )
+        assert evaluated == _scored(_evaluate_reference, X.copy(), labels, names, scaler)
+        assert predicted == _scored(_predict_reference, X.copy(), rows, scaler)
+
+    check()
+
+
 # ---------------------------------------------------------------- splitting
 
 def test_split_counts_10_rows():

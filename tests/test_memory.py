@@ -1,6 +1,6 @@
 """Memory budgets: how many copies of a capture's feature matrix reading,
-scaling and scoring hold at their peak, and what oversampling holds beside
-the matrix it returns, as traced by tracemalloc.
+scaling and scoring hold at their peak, what oversampling holds beside
+the matrix it returns, and what ``train`` holds, as traced by tracemalloc.
 
 NumPy reports its array buffers to tracemalloc, so a traced peak counts
 every matrix, temporary and block buffer alive at once.
@@ -13,10 +13,19 @@ import numpy as np
 import pytest
 
 from ddosflow.cli import main
-from ddosflow.flow_data import FlowDataset, ScalerParams, load_feature_matrix, load_flow_csv
-from ddosflow.smote import SmoteConfig, oversample
+from ddosflow.config import load_config
+from ddosflow.flow_data import (
+    FlowDataset,
+    ScalerParams,
+    clean,
+    load_feature_matrix,
+    load_flow_csv,
+    train_test_split,
+)
+from ddosflow.smote import SmoteConfig, oversample, synthetic_count
 
 N_ROWS, N_FEATURES = 5000, 78  # a CICIDS2017-wide capture; its matrix is 3.1 MB
+TRAIN_ROWS = 10_000  # a training file of that width
 NAMES = [f"f{j}" for j in range(N_FEATURES)]
 MATRIX_BYTES = N_ROWS * N_FEATURES * 8
 # what the reader holds for one block of lines besides the matrix: the
@@ -24,11 +33,11 @@ MATRIX_BYTES = N_ROWS * N_FEATURES * 8
 BLOCK_BYTES = 3 << 19
 
 
-def _write_flows(path, n_rows, seed):
+def _write_flows(path, n_rows, seed, attack_share=0.3):
     """A labelled flow CSV of N_FEATURES columns, with an Infinity in every
     97th row and an empty cell in every 211th."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    attack = rng.random(n_rows) < 0.3
+    attack = rng.random(n_rows) < attack_share
     X = rng.normal(size=(n_rows, N_FEATURES)) * 100 + 50 * attack[:, None]
     lines = [",".join(NAMES + ["Label"])]
     for i, row in enumerate(X.tolist()):
@@ -43,16 +52,22 @@ def _write_flows(path, n_rows, seed):
 
 
 @pytest.fixture(scope="module")
-def capture(tmp_path_factory):
-    """The capture's path and the path of a small model trained on its columns."""
-    tmp = tmp_path_factory.mktemp("memory")
-    config = tmp / "config.json"
-    config.write_text(json.dumps({
+def config(tmp_path_factory):
+    """A config file for a small, fast model."""
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({
         "train": {"epochs_phase1": 1, "epochs_phase2": 1, "batch_size": 64},
         "architecture": {"input_width": 8, "block_widths": [8, 8]},
     }))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory, config):
+    """The capture's path and the path of a small model trained on its columns."""
+    tmp = tmp_path_factory.mktemp("memory")
     train = _write_flows(tmp / "train.csv", 400, seed=1)
-    rc = main(["train", "--data", train, "--out", str(tmp / "run"), "--config", str(config)])
+    rc = main(["train", "--data", train, "--out", str(tmp / "run"), "--config", config])
     assert rc == 0
     return _write_flows(tmp / "capture.csv", N_ROWS, seed=2), str(tmp / "run" / "model.txt")
 
@@ -98,11 +113,33 @@ def test_oversampling_holds_the_balanced_matrix_and_one_temporary():
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
-def test_scoring_a_capture_holds_its_matrix_at_most_twice(capture, tmp_path, command):
+def test_scoring_a_capture_holds_its_matrix_once(capture, tmp_path, command):
+    """The capture's rows are dropped, filled and scaled inside the matrix
+    the reader returned (about 2.1 matrices when they were copied)."""
     path, model = capture
     argv = [command, "--model", model, "--data", path]
     if command == "predict":
         argv += ["--out", str(tmp_path / "predictions.csv")]
     peak, rc = _traced_peak(lambda: main(argv))
     assert rc == 0
-    assert peak <= 2.5 * MATRIX_BYTES
+    assert peak <= 1.3 * MATRIX_BYTES + BLOCK_BYTES
+
+
+def test_training_holds_its_rows_once_beside_the_cleaned_set(tmp_path, config):
+    """``train`` gathers its training rows once, into the head of the matrix
+    SMOTE fills: at its peak it holds the cleaned set, that balanced matrix
+    and the test split, not the training rows twice. A tenth of the rows
+    are attacks, so SMOTE adds about two thirds as many rows as the cleaned
+    set holds."""
+    path = _write_flows(tmp_path / "train.csv", TRAIN_ROWS, seed=3, attack_share=0.1)
+    cfg = load_config(config)
+    cleaned = clean(load_flow_csv(path)[0])
+    train, test = train_test_split(cleaned, cfg.split)
+    balanced_rows = train.n_rows + synthetic_count(train.labels, cfg.smote)
+    row_bytes = N_FEATURES * 8
+    budget = (cleaned.n_rows + balanced_rows + test.n_rows) * row_bytes + BLOCK_BYTES
+    del cleaned, train, test
+    argv = ["train", "--data", path, "--out", str(tmp_path / "run"), "--config", config]
+    peak, rc = _traced_peak(lambda: main(argv))
+    assert rc == 0
+    assert peak <= budget

@@ -7,12 +7,13 @@ import pytest
 
 from ddosflow import smote
 from ddosflow.errors import DataError
-from ddosflow.flow_data import FlowDataset
+from ddosflow.flow_data import FlowDataset, SplitConfig, train_test_split
 from ddosflow.smote import (
     SmoteConfig,
     minority_neighbors,
     oversample,
     synthesize,
+    synthetic_count,
 )
 
 
@@ -273,6 +274,45 @@ def test_oversample_deterministic():
     np.testing.assert_array_equal(out1.features, out2.features)
     out3, _ = oversample(ds, SmoteConfig(seed=13))
     assert not np.array_equal(out1.features, out3.features)
+
+
+def test_synthetic_count_is_what_oversample_adds():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for labels, ratio in [([0] * 41 + [1] * 4, 0.5), ([1] * 44 + [0] * 6, 1.0),
+                          ([0] * 10 + [1] * 10, 1.0), ([0] * 20 + [1] * 15, 0.5)]:
+        ds = _ds(rng.normal(size=(len(labels), 2)), labels)
+        cfg = SmoteConfig(k=3, seed=1, target_ratio=ratio)
+        assert oversample(ds, cfg)[0].n_rows == ds.n_rows + synthetic_count(ds.labels, cfg)
+    assert synthetic_count(np.zeros(5, dtype=np.int64), SmoteConfig()) == 0
+
+
+@pytest.mark.parametrize("stratify", [False, True])
+def test_oversample_into_the_splits_room_gives_the_bits_of_a_copy(stratify):
+    """The split gathers the training rows into the head of the matrix that
+    oversample fills: the partition and the balanced set are those of the
+    split and oversample without room, and the training rows are held once.
+    A room too small for the rows is left unused."""
+    rng = np.random.Generator(np.random.PCG64(9))
+    ds = _ds(rng.normal(size=(300, 5)), (rng.random(300) < 0.2).astype(np.int64))
+    split, cfg = SplitConfig(seed=3, stratify=stratify), SmoteConfig(seed=4)
+    plain_train, plain_test = train_test_split(ds, split)
+    want, want_prov = oversample(plain_train, cfg)
+    train, test = train_test_split(ds, split, room=lambda y: synthetic_count(y, cfg))
+    for got, ref in [(train, plain_train), (test, plain_test)]:
+        np.testing.assert_array_equal(got.features, ref.features)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+    got, prov = oversample(train, cfg)
+    assert np.shares_memory(got.features, train.features)
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    np.testing.assert_array_equal(got.labels, want.labels)
+    for a, b in zip(prov, want_prov):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(train.features, plain_train.features)
+
+    small, _ = train_test_split(ds, split, room=lambda y: synthetic_count(y, cfg) - 1)
+    got, _ = oversample(small, cfg)
+    assert not np.shares_memory(got.features, small.features)
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
 
 
 def test_oversample_requires_both_classes():
