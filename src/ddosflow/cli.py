@@ -28,6 +28,7 @@ import numpy as np
 from .config import (
     DataConfig,
     PipelineConfig,
+    _coerce,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -116,7 +117,7 @@ def _manifest_entry(extra: dict, key: str, parse):
         raise ValueError(f"model file lacks manifest entry {key!r}")
     try:
         return parse(extra[key])
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ValueError(f"manifest entry {key!r} is malformed: {exc}") from exc
 
 
@@ -129,18 +130,18 @@ def _column_names(value: object) -> tuple[str, ...]:
     return tuple(value)
 
 
+# The manifest's numbers follow the config's rules (_coerce): no bool or
+# string for a number, no fraction for a count.
 def _vector(value: object) -> np.ndarray:
-    vector = np.asarray(value, dtype=np.float64)
-    if vector.ndim != 1 or not np.isfinite(vector).all():
-        raise TypeError("expected a list of finite numbers")
-    return vector
+    if isinstance(value, list):
+        with contextlib.suppress(TypeError):
+            return np.array([_coerce(v, 0.0) for v in value], dtype=np.float64)
+    raise TypeError("expected a list of finite numbers")
 
 
-def _probability(value: object) -> float:
-    p = float(value)  # type: ignore[arg-type]
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"{p} does not lie in (0, 1)")
-    return p
+def _threshold(value: object) -> float:
+    """``value`` checked as the config's ``train.threshold`` is; a ConfigError names the fault."""
+    return config_from_dict({"train": {"threshold": value}}).train.threshold
 
 
 def _read_manifest(
@@ -155,14 +156,14 @@ def _read_manifest(
     scaler = ScalerParams(
         means=_manifest_entry(extra, "scaler_means", _vector),
         stds=_manifest_entry(extra, "scaler_stds", _vector),
-        fitted_on=_manifest_entry(extra, "scaler_fitted_on", int),
+        fitted_on=_manifest_entry(extra, "scaler_fitted_on", lambda v: _coerce(v, 0)),
     )
     if not len(names) == len(scaler.means) == model.n_features:
         raise ValueError(
             f"manifest entries 'feature_names' and 'scaler_means' hold {len(names)} "
             f"and {len(scaler.means)} columns for a model of {model.n_features} features"
         )
-    threshold = _manifest_entry(extra, "threshold", _probability)
+    threshold = _manifest_entry(extra, "threshold", _threshold)
     labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
     try:
         data = config_from_dict({"data": labels}).data
@@ -187,9 +188,7 @@ def _scoring_model(
         except ValueError as exc:
             raise DataError(f"{args.model}: {exc}") from exc
     if args.threshold is not None:
-        if not 0.0 < args.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        threshold = args.threshold
+        threshold = _threshold(args.threshold)
     return model, names, scaler, threshold, labels
 
 
@@ -291,7 +290,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         scaler = fit_scaler(train_ds)
         # the split's matrices are this command's own, so they scale in place
         for part in (train_ds, test_ds):
-            scaler._scale_into(part.features, part.features)
+            scaler.scale(part.features, out=part.features)
     with _stage("smote"):
         balanced, _ = oversample(train_ds, cfg.smote)
     print(

@@ -107,33 +107,33 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return out
 
 
-def _coerce(path: str, value, expected):
-    """Check/convert one JSON value against the default's type."""
+def _coerce(value, expected):
+    """``value`` checked and converted by the type of the default ``expected``, else a TypeError."""
     if isinstance(expected, bool):
         if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+            raise TypeError(f"expected true/false, got {value!r}")
         return value
     if isinstance(expected, int):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+            raise TypeError(f"expected an integer, got {value!r}")
         return value
     if isinstance(expected, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
+            raise TypeError(f"expected a number, got {value!r}")
         if not math.isfinite(value):  # JSON's NaN and Infinity parse
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+            raise TypeError(f"expected a finite number, got {value!r}")
         return float(value)
     if isinstance(expected, str):
         if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
+            raise TypeError(f"expected a string, got {value!r}")
         return value
     if isinstance(expected, tuple):
         if not isinstance(value, (list, tuple)) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
-            raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
+            raise TypeError(f"expected a list of integers, got {value!r}")
         return tuple(value)
-    raise ConfigError(f"{path}: unsupported value type")  # pragma: no cover
+    raise TypeError("unsupported value type")  # pragma: no cover
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
@@ -149,9 +149,10 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config section {unknown[0]!r}")
 
+    defaults = default_config()
     sections = {}
     for section, cls in _SECTIONS.items():
-        proto = getattr(default_config(), section)
+        proto = getattr(defaults, section)
         given = doc.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(f"{section}: expected a JSON object")
@@ -162,13 +163,12 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         kwargs = {}
         for f in dataclasses.fields(cls):
             if f.name in given:
-                kwargs[f.name] = _coerce(
-                    f"{section}.{f.name}", given[f.name], getattr(proto, f.name)
-                )
-            else:
-                kwargs[f.name] = getattr(proto, f.name)
+                try:
+                    kwargs[f.name] = _coerce(given[f.name], getattr(proto, f.name))
+                except TypeError as exc:
+                    raise ConfigError(f"{section}.{f.name}: {exc}") from exc
         try:
-            sections[section] = cls(**kwargs)
+            sections[section] = dataclasses.replace(proto, **kwargs)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
     return PipelineConfig(**sections)

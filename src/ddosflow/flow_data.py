@@ -108,16 +108,16 @@ class ScalerParams:
         if np.any(self.stds < 0):
             raise ValueError("stds must be non-negative")
 
-    def scale(self, X: np.ndarray) -> np.ndarray:
-        """``X`` standardized as :func:`apply_scaler` does; a new C-ordered
-        matrix, the only full-size array the call makes. A value too far
-        from its column's mean for float64 scales to +-inf."""
-        return self._scale_into(X, None)
-
-    def _scale_into(self, X: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """:meth:`scale`, written into ``out`` (``X`` itself scales in place)."""
+    def scale(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``X`` standardized, (x - mean) / std with zero-std columns 0, into a
+        new C-ordered matrix (the only full-size array the call makes), or
+        into ``out``, an array of ``X``'s shape, which is returned: ``out=X``
+        scales ``X`` in place with the same bits. A value too far from its
+        column's mean for float64 scales to +-inf."""
         if self.means.shape[0] != X.shape[1]:
             raise ValueError(f"scaler fits {len(self.means)} columns, not {X.shape[1]}")
+        if out is not None and out.shape != X.shape:  # else X would broadcast into it
+            raise ValueError(f"out has shape {out.shape}, not {X.shape}")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scaled = np.subtract(X, self.means, out=out, order="C")
             scaled /= self.stds
@@ -634,7 +634,7 @@ def _scorable_in_place(
         raise DataError("no scorable rows")
     X, tags = X[:n], tags[:n]
     _fill_inf(X, fill_values(X))
-    scaler._scale_into(X, X)
+    scaler.scale(X, out=X)
     return X, tags
 
 
@@ -718,7 +718,7 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
 
 
 def apply_scaler(ds: FlowDataset, s: ScalerParams) -> FlowDataset:
-    """Standardize features: (x - mean) / std, with zero-variance columns set to 0."""
+    """A new dataset of ``ds``'s rows standardized by :meth:`ScalerParams.scale`."""
     return FlowDataset(ds.feature_names, s.scale(ds.features), ds.labels.copy())
 
 

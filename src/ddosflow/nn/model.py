@@ -13,6 +13,7 @@ them update the model.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +156,8 @@ def init_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
     """
     model = _alloc_model(n_features, arch)
     rng = np.random.Generator(np.random.PCG64(arch.init_seed))
-    for name, tensor in named_parameters(model):
-        if tensor.ndim == 2 and (name.endswith(".W") or name.endswith(".W_a")):
+    for _, tensor, _, attr in _tensors(model, state=False):
+        if attr in ("W", "W_a"):  # weight matrices
             fan_in = tensor.shape[1]
             limit = np.sqrt(6.0 / fan_in)
             tensor[...] = rng.uniform(-limit, limit, size=tensor.shape)
@@ -164,35 +165,37 @@ def init_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
 
 
 # batch-norm running statistics: state, not trained
-_STATE_SUFFIXES = (".running_mean", ".running_var")
+_STATE_FIELDS = ("running_mean", "running_var")
 
 
-def _walk(
-    node: object, prefix: str, out: list[tuple[str, np.ndarray]]
-) -> list[tuple[str, np.ndarray]]:
-    """Append (dotted name, array) for every array under ``node`` to
-    ``out``, depth first in dataclass field and list order."""
-    if isinstance(node, np.ndarray):
-        out.append((prefix[:-1], node))
-    elif isinstance(node, list):
+def _walk(node: object, prefix: str = "") -> Iterator[tuple[str, np.ndarray, object, str]]:
+    """Yield ``(dotted name, array, owner, field)`` for every array under
+    ``node``, depth first in list and dataclass field order: the array is
+    ``owner``'s field ``field`` (a list has no dataclass fields)."""
+    if isinstance(node, list):
         for i, item in enumerate(node):
-            _walk(item, f"{prefix}{i}.", out)
-    else:
-        for name in getattr(node, "__dataclass_fields__", ()):
-            _walk(getattr(node, name), f"{prefix}{name}.", out)
-    return out
+            yield from _walk(item, f"{prefix}{i}.")
+    for name in getattr(node, "__dataclass_fields__", ()):
+        value = getattr(node, name)
+        if isinstance(value, np.ndarray):
+            yield prefix + name, value, node, name
+        else:
+            yield from _walk(value, f"{prefix}{name}.")
+
+
+def _tensors(model: ModelParams, state: bool) -> list[tuple[str, np.ndarray, object, str]]:
+    """:func:`_walk`'s trainable tensors, or its running statistics with ``state``."""
+    return [entry for entry in _walk(model) if (entry[3] in _STATE_FIELDS) == state]
 
 
 def named_parameters(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Trainable tensors as (dotted name, live array) pairs, fixed order."""
-    pairs = _walk(model, "", [])
-    return [(n, t) for n, t in pairs if not n.endswith(_STATE_SUFFIXES)]
+    return [(name, tensor) for name, tensor, _, _ in _tensors(model, state=False)]
 
 
 def named_state(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Non-trainable state (batch-norm running statistics), fixed order."""
-    pairs = _walk(model, "", [])
-    return [(n, t) for n, t in pairs if n.endswith(_STATE_SUFFIXES)]
+    return [(name, tensor) for name, tensor, _, _ in _tensors(model, state=True)]
 
 
 def _uncached_workspace(model: ModelParams, ws: Workspace, rows: int) -> Workspace:
@@ -258,13 +261,10 @@ def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> dict[str,
     (:func:`~ddosflow.nn.layers.bind_backward_buffers`), again when a pass
     needs more rows."""
     if ws.arena_key is not model:
-        slots = []
-        for name, tensor in named_parameters(model):
-            *path, field = name.split(".")
-            owner = model
-            for part in path:
-                owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
-            slots.append((name, tensor.shape, owner, "d" + field))
+        slots = [
+            (name, tensor.shape, owner, "d" + attr)
+            for name, tensor, owner, attr in _tensors(model, state=False)
+        ]
         ws.lay_out(model, slots)
     if ws.backward_rows.get(model, 0) < rows:
         bind_backward_buffers(ws, model.output_affine, model.blocks, rows)

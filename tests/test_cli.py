@@ -507,11 +507,20 @@ def _manifest_not_json(lines):
         (_set("scaler_stds", [1.0, 1.0, float("inf"), 1.0]), "manifest entry 'scaler_stds' is malformed: expected a list of finite numbers"),
         (_nan_in_first_tensor, "line 4: tensor '[^']+' holds a non-finite value"),
         (_manifest_not_json, "manifest is not valid JSON"),
+        # numbers follow the config's type rules: no string or bool, no fraction for a count
+        (_set("threshold", "0.5"), "manifest entry 'threshold' is malformed: train.threshold: expected a number"),
+        (_set("threshold", 1.5), r"manifest entry 'threshold' is malformed: train: threshold must lie in \(0, 1\)"),
+        (_set("scaler_fitted_on", 5.7), "manifest entry 'scaler_fitted_on' is malformed: expected an integer"),
+        (_set("scaler_fitted_on", True), "manifest entry 'scaler_fitted_on' is malformed: expected an integer"),
+        (_set("scaler_means", ["0.0", "1.0", "2.0", "3.0"]), "manifest entry 'scaler_means' is malformed: expected a list of finite numbers"),
+        (_set("scaler_stds", [True, True, True, True]), "manifest entry 'scaler_stds' is malformed: expected a list of finite numbers"),
     ],
     ids=[
         "threshold-null", "feature_names-int", "benign_token-int", "attack_token-null",
         "equal-tokens", "feature_names-repeated", "feature_names-short", "scaler_stds-short",
         "scaler_means-nan", "scaler_stds-inf", "tensor-nan", "manifest-not-json",
+        "threshold-string", "threshold-1.5", "scaler_fitted_on-fraction", "scaler_fitted_on-bool",
+        "scaler_means-strings", "scaler_stds-bools",
     ],
 )
 def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys, edit, message, command):
@@ -731,6 +740,19 @@ def test_command_line_overrides_are_checked_as_config_values(tmp_path, monkeypat
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize(
+    "value, message",
+    [("nan", "train.threshold: expected a finite number"), ("1.5", "train: threshold must lie in (0, 1)")],
+)
+def test_a_scoring_threshold_override_is_checked_as_a_config_value(trained, tmp_path, capsys, command, value, message):
+    data, model = trained
+    out = tmp_path / "o"
+    assert main([command, "--model", model, "--data", data, "--out", str(out), "--threshold", value]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gradcheck_honors_config(tmp_path, capsys):

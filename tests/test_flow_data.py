@@ -876,6 +876,31 @@ def test_scale_gives_the_bits_of_the_plain_formula(order):
     np.testing.assert_array_equal(X, before)  # the input is left as it was
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scale_into_its_input_gives_the_bits_of_a_new_matrix(order):
+    rng = np.random.Generator(np.random.PCG64(9))
+    X = np.asarray(rng.normal(5.0, 3.0, size=(50, 6)), order=order)
+    X[3, 1] = np.inf
+    X[7, 5], X[8, 5] = 1e308, -1e308  # (x - mean) / 0.5 overflows to +-inf
+    stds = rng.uniform(0.5, 4.0, 6)
+    stds[2], stds[5] = 0.0, 0.5
+    s = ScalerParams(means=rng.normal(size=6), stds=stds, fitted_on=50)
+    want = s.scale(X)
+    assert np.isposinf(want[7, 5]) and np.isneginf(want[8, 5])
+    assert s.scale(X, out=X) is X
+    np.testing.assert_array_equal(X.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (1, 4)])
+def test_scale_rejects_an_out_of_another_shape(shape):
+    # (4, 3) would take X's one row broadcast down all four of its rows
+    s = ScalerParams(means=np.zeros(3), stds=np.ones(3), fitted_on=1)
+    out = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"out has shape {shape}, not (1, 3)")):
+        s.scale(np.ones((1, 3)), out=out)
+    assert not out.any()
+
+
 def test_apply_scaler_dim_mismatch():
     s = ScalerParams(means=np.zeros(3), stds=np.ones(3), fitted_on=1)
     with pytest.raises(ValueError):
