@@ -136,6 +136,30 @@ def _coerce(value, expected):
     raise TypeError("unsupported value type")  # pragma: no cover
 
 
+def _from_dict(proto, given: object, path: str):
+    """``proto`` with the JSON object ``given`` applied by the config's rules
+    (no unknown key, :func:`_coerce`, the dataclass's invariants), for each
+    config section and a model file's architecture; a ConfigError names the
+    fault by its dotted ``path``."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    names = [f.name for f in dataclasses.fields(proto)]
+    for key in given:
+        if key not in names:
+            raise ConfigError(f"unknown config key {path}.{key!r}")
+    kwargs = {}
+    for name in names:
+        if name in given:
+            try:
+                kwargs[name] = _coerce(given[name], getattr(proto, name))
+            except TypeError as exc:
+                raise ConfigError(f"{path}.{name}: {exc}") from exc
+    try:
+        return dataclasses.replace(proto, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Merge a (possibly partial) config document over the defaults.
 
@@ -148,30 +172,10 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     unknown = sorted(set(doc) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown config section {unknown[0]!r}")
-
     defaults = default_config()
-    sections = {}
-    for section, cls in _SECTIONS.items():
-        proto = getattr(defaults, section)
-        given = doc.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section}: expected a JSON object")
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        for key in given:
-            if key not in allowed:
-                raise ConfigError(f"unknown config key {section}.{key!r}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in given:
-                try:
-                    kwargs[f.name] = _coerce(given[f.name], getattr(proto, f.name))
-                except TypeError as exc:
-                    raise ConfigError(f"{section}.{f.name}: {exc}") from exc
-        try:
-            sections[section] = dataclasses.replace(proto, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-    return PipelineConfig(**sections)
+    return PipelineConfig(
+        **{s: _from_dict(getattr(defaults, s), doc.get(s, {}), s) for s in _SECTIONS}
+    )
 
 
 def dumps_config(cfg: PipelineConfig) -> str:

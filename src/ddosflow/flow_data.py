@@ -95,7 +95,7 @@ class ScalerParams:
 
     ``means`` and ``stds`` are the population mean and population standard
     deviation (divisor n) of each feature column; ``fitted_on`` records how
-    many rows the fit saw.
+    many rows the fit saw, at least one.
     """
 
     means: np.ndarray
@@ -107,6 +107,8 @@ class ScalerParams:
             raise ValueError("means and stds must be 1-D vectors of equal length")
         if np.any(self.stds < 0):
             raise ValueError("stds must be non-negative")
+        if self.fitted_on < 1:
+            raise ValueError(f"fitted_on must be at least 1, got {self.fitted_on}")
 
     def scale(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X`` standardized, (x - mean) / std with zero-std columns 0, into a

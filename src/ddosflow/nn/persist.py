@@ -9,10 +9,10 @@ Layout, line by line:
     ...
     end
 
-Every trainable tensor and every batch-norm running statistic is written.
-The 17-digit decimal form reproduces each float64 exactly, and the
-manifest is serialized with sorted keys, so save -> load -> save yields
-byte-identical files.
+Every trainable tensor and then every batch-norm running statistic is
+written, and read back in that order. The 17-digit decimal form reproduces
+each float64 exactly, and the manifest is serialized with sorted keys, so
+save -> load -> save yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 
+from ..errors import ConfigError
 from .model import ArchitectureConfig, ModelParams, _alloc_model, named_parameters, named_state
 
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
@@ -32,6 +33,10 @@ _MAGIC = "ddosflow-model"
 
 def _format_value(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _header(name: str, tensor: np.ndarray) -> str:
+    return f"tensor {name} {tensor.ndim} " + " ".join(str(d) for d in tensor.shape)
 
 
 def save_model(model: ModelParams, path: str, extra: dict | None = None) -> None:
@@ -54,8 +59,7 @@ def save_model(model: ModelParams, path: str, extra: dict | None = None) -> None
         fh.write(f"{_MAGIC} {FORMAT_VERSION}\n")
         fh.write("manifest " + json.dumps(manifest, sort_keys=True) + "\n")
         for name, tensor in named_parameters(model) + named_state(model):
-            dims = " ".join(str(d) for d in tensor.shape)
-            fh.write(f"tensor {name} {tensor.ndim} {dims}\n")
+            fh.write(_header(name, tensor) + "\n")
             rows = tensor if tensor.ndim == 2 else tensor.reshape(1, -1)
             for row in rows:
                 fh.write(" ".join(_format_value(v) for v in row) + "\n")
@@ -63,16 +67,19 @@ def save_model(model: ModelParams, path: str, extra: dict | None = None) -> None
 
 
 def load_model(path: str) -> tuple[ModelParams, dict]:
-    """Read a model file; returns ``(model, extra_manifest)``.
+    """Read a model file by the rules that wrote it; returns ``(model, extra_manifest)``.
 
     Raises:
-        ValueError: a file that is not UTF-8 or has an unrecognized
-            magic/version, a manifest that is not a JSON object, lacks
-            ``architecture`` or ``n_features`` or holds an architecture that
-            :class:`ArchitectureConfig` rejects, a malformed tensor block or
-            a non-finite value (named with its line), or tensors that do not
-            match the declared architecture. Every message names the file.
+        ValueError: naming the file: a file that is not UTF-8 or has an
+            unrecognized magic/version; a manifest that is not a JSON object,
+            or whose ``architecture`` or ``n_features`` is missing or breaks
+            the config's type and range rules (the key named); a line that is
+            not the next tensor header, in the order :func:`save_model`
+            writes them, or not ``end`` as the last line; a truncated tensor;
+            or a malformed or non-finite value (the line named).
     """
+    from ..config import _coerce, _from_dict  # config imports ddosflow.nn
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -92,38 +99,24 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
     try:
-        arch_dict = dict(manifest.pop("architecture"))
-        arch_dict["block_widths"] = tuple(arch_dict["block_widths"])
-        arch = ArchitectureConfig(**arch_dict)
-        n_features = int(manifest.pop("n_features"))
+        arch = _from_dict(ArchitectureConfig(), manifest.pop("architecture"), "architecture")
+        n_features = manifest.pop("n_features")
+        if _coerce(n_features, 0) < 1:
+            raise TypeError(f"expected an integer of at least 1, got {n_features!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: manifest lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # from n_features: _from_dict raises ConfigErrors
+        raise ValueError(f"{path}: manifest rejected: n_features: {exc}") from None
+    except ConfigError as exc:
         raise ValueError(f"{path}: manifest rejected: {exc}") from None
     model = _alloc_model(n_features, arch)
-    expected = dict(named_parameters(model) + named_state(model))
 
-    seen: set[str] = set()
     pos = 2
-    while pos < len(lines):
-        line = lines[pos]
-        if line == "end":
-            break
-        parts = line.split()
-        if len(parts) < 4 or parts[0] != "tensor" or not "".join(parts[2:]).isdecimal():
-            raise ValueError(f"{path}: malformed tensor header at line {pos + 1}")
-        name, ndim = parts[1], int(parts[2])
-        shape = tuple(int(d) for d in parts[3 : 3 + ndim])
-        if name not in expected:
-            raise ValueError(f"{path}: unknown tensor {name!r}")
-        if name in seen:
-            raise ValueError(f"{path}: tensor {name!r} repeated at line {pos + 1}")
-        target = expected[name]
-        if target.shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name!r} has shape {shape}, expected {target.shape}"
-            )
-        n_rows, n_cols = shape if ndim == 2 else (1, *shape)
+    for name, target in named_parameters(model) + named_state(model):
+        header = _header(name, target)
+        if lines[pos : pos + 1] != [header]:
+            raise ValueError(f"{path}: line {pos + 1}: expected {header!r}")
+        n_rows, n_cols = target.shape if target.ndim == 2 else (1, target.size)
         block = lines[pos + 1 : pos + 1 + n_rows]
         if len(block) != n_rows:
             raise ValueError(f"{path}: truncated tensor {name!r}")
@@ -138,13 +131,9 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
                     raise ValueError(f"tensor {name!r} holds a non-finite value")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {pos + 2 + i}: {exc}") from None
-        target[...] = values.reshape(shape)
-        seen.add(name)
+        target[...] = values.reshape(target.shape)
         pos += 1 + n_rows
-    else:
-        raise ValueError(f"{path}: missing end marker")
-
-    missing = set(expected) - seen
-    if missing:
-        raise ValueError(f"{path}: missing tensors: {sorted(missing)}")
+    if lines[pos:] != ["end"]:
+        at = pos + 1 + (lines[pos : pos + 1] == ["end"])  # the first line out of place
+        raise ValueError(f"{path}: line {at}: expected 'end' as the last line")
     return model, manifest

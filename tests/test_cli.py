@@ -440,20 +440,33 @@ def _drop(key):
     return edit
 
 
-def _bogus_architecture_key(manifest):
-    manifest["architecture"]["bogus"] = 1
-    return manifest
+def _put(key, value, section=None):
+    def edit(manifest):
+        (manifest[section] if section else manifest)[key] = value
+        return manifest
+    return edit
 
 
+# architecture and n_features follow the config's type and range rules
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda manifest: list(manifest), "manifest is not a JSON object"),
         (_drop("architecture"), "manifest lacks 'architecture'"),
         (_drop("n_features"), "manifest lacks 'n_features'"),
-        (_bogus_architecture_key, "manifest rejected: .*bogus"),
+        (_put("bogus", 1, "architecture"), "manifest rejected: .*bogus"),
+        (_put("input_width", 64.0, "architecture"), "manifest rejected: architecture.input_width: expected an integer"),
+        (_put("block_widths", [64, 64.0, 64], "architecture"), "manifest rejected: architecture.block_widths: expected a list of integers"),
+        (_put("bn_eps", True, "architecture"), "manifest rejected: architecture.bn_eps: expected a number"),
+        (_put("n_features", 8.5), "manifest rejected: n_features: expected an integer"),
+        (_put("n_features", "8"), "manifest rejected: n_features: expected an integer"),
+        (_put("n_features", -3), "manifest rejected: n_features: expected an integer of at least 1, got -3"),
     ],
-    ids=["not-an-object", "no-architecture", "no-n_features", "unknown-architecture-key"],
+    ids=[
+        "not-an-object", "no-architecture", "no-n_features", "unknown-architecture-key",
+        "input_width-float", "block_widths-float", "bn_eps-bool",
+        "n_features-fraction", "n_features-string", "n_features-negative",
+    ],
 )
 def test_evaluate_malformed_manifest_is_named(trained, tmp_path, capsys, edit, message):
     data, model = trained
@@ -464,8 +477,11 @@ def test_evaluate_malformed_manifest_is_named(trained, tmp_path, capsys, edit, m
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_model(str(bad))
-    assert main(["evaluate", "--model", str(bad), "--data", data]) == 2
-    assert re.search(f"data error: load-model: {re.escape(str(bad))}: {message}", capsys.readouterr().err)
+    for command in (["evaluate"], ["predict", "--out", str(tmp_path / "p.csv")]):
+        assert main([*command, "--model", str(bad), "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"^data error: load-model: {re.escape(str(bad))}: {message}", err), err
+        assert "Traceback" not in err
 
 
 def _set(key, value):
@@ -512,6 +528,8 @@ def _manifest_not_json(lines):
         (_set("threshold", 1.5), r"manifest entry 'threshold' is malformed: train: threshold must lie in \(0, 1\)"),
         (_set("scaler_fitted_on", 5.7), "manifest entry 'scaler_fitted_on' is malformed: expected an integer"),
         (_set("scaler_fitted_on", True), "manifest entry 'scaler_fitted_on' is malformed: expected an integer"),
+        (_set("scaler_fitted_on", -5), "fitted_on must be at least 1, got -5"),
+        (_set("scaler_fitted_on", 0), "fitted_on must be at least 1, got 0"),
         (_set("scaler_means", ["0.0", "1.0", "2.0", "3.0"]), "manifest entry 'scaler_means' is malformed: expected a list of finite numbers"),
         (_set("scaler_stds", [True, True, True, True]), "manifest entry 'scaler_stds' is malformed: expected a list of finite numbers"),
     ],
@@ -520,7 +538,7 @@ def _manifest_not_json(lines):
         "equal-tokens", "feature_names-repeated", "feature_names-short", "scaler_stds-short",
         "scaler_means-nan", "scaler_stds-inf", "tensor-nan", "manifest-not-json",
         "threshold-string", "threshold-1.5", "scaler_fitted_on-fraction", "scaler_fitted_on-bool",
-        "scaler_means-strings", "scaler_stds-bools",
+        "scaler_fitted_on-negative", "scaler_fitted_on-zero", "scaler_means-strings", "scaler_stds-bools",
     ],
 )
 def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys, edit, message, command):

@@ -2,14 +2,18 @@
 the packages export exactly the names the README's API section lists."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
 import ddosflow
 import ddosflow.nn
+from ddosflow.nn import ArchitectureConfig, init_model, save_model
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,6 +49,26 @@ def test_all_names_resolve(module_name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+def test_load_model_runs_with_only_the_nn_package_imported(tmp_path):
+    """``load_model`` imports ``ddosflow.config`` (which imports
+    ``ddosflow.nn``) when it runs. A fresh interpreter that has imported only
+    ``ddosflow.nn`` is the one order in which that import comes first; this
+    process imported ``config`` while collecting the tests."""
+    path = tmp_path / "m.txt"
+    save_model(init_model(3, ArchitectureConfig(input_width=2, block_widths=(2,))), str(path))
+    code = (
+        "import sys\n"
+        "import ddosflow.nn\n"
+        "assert 'ddosflow.config' not in sys.modules\n"
+        "model, extra = ddosflow.nn.load_model(sys.argv[1])\n"
+        "assert (model.n_features, model.arch.block_widths, extra) == (3, (2,), {})\n"
+    )
+    src = str(pathlib.Path(ddosflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("package", [ddosflow, ddosflow.nn], ids=lambda p: p.__name__)

@@ -2,8 +2,10 @@ import csv
 import math
 import re
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ddosflow import flow_data
 from ddosflow.errors import DataError
@@ -397,8 +399,6 @@ def _same_outcome(load, reference, *args):
 
 
 def test_block_reader_matches_reference(tmp_path_factory):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     cells = st.one_of(
         st.floats(width=64).map(repr),
         st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6g" % v),
@@ -624,8 +624,6 @@ def test_scoring_in_place_gives_each_commands_reference_bits():
     """flow_data._scorable_in_place, with each command's fill rule, keeps the
     rows, labels, row numbers and value bits of that command's old path, in
     blocks of a few rows so runs of dropped rows cross block edges."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     values = st.floats(-1e6, 1e6, allow_nan=False)
 
     @st.composite
@@ -910,6 +908,8 @@ def test_apply_scaler_dim_mismatch():
 def test_scaler_params_validation():
     with pytest.raises(ValueError):
         ScalerParams(means=np.zeros(2), stds=np.array([1.0, -0.5]), fitted_on=2)
+    with pytest.raises(ValueError, match="fitted_on must be at least 1, got 0"):
+        ScalerParams(means=np.zeros(2), stds=np.ones(2), fitted_on=0)
 
 
 # ---------------------------------------------------------------- round trip

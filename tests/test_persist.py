@@ -140,7 +140,7 @@ def test_rejects_malformed_tensor_header(model, tmp_path):
     path = write_and_mutate(
         model, tmp_path, lambda ls: ls[:2] + ["tensor broken"] + ls[3:]
     )
-    with pytest.raises(ValueError, match="malformed tensor header"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3: expected 'tensor input_affine.W 2 6 5'$"):
         load_model(path)
 
 
@@ -151,20 +151,20 @@ def test_rejects_unknown_tensor_name(model, tmp_path):
         return ls
 
     path = write_and_mutate(model, tmp_path, mutate)
-    with pytest.raises(ValueError, match="unknown tensor"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3: expected 'tensor input_affine.W 2 6 5'$"):
         load_model(path)
 
 
 def test_rejects_shape_mismatch(model, tmp_path):
     def mutate(ls):
         ls = list(ls)
-        parts = ls[2].split()  # tensor input_affine.W 2 5 6
+        parts = ls[2].split()  # tensor input_affine.W 2 6 5
         parts[3] = str(int(parts[3]) + 1)
         ls[2] = " ".join(parts)
         return ls
 
     path = write_and_mutate(model, tmp_path, mutate)
-    with pytest.raises(ValueError, match="has shape"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3: expected 'tensor input_affine.W 2 6 5'$"):
         load_model(path)
 
 
@@ -176,7 +176,7 @@ def test_rejects_truncated_file(model, tmp_path):
 
 def test_rejects_missing_end_marker(model, tmp_path):
     path = write_and_mutate(model, tmp_path, lambda ls: ls[:-1])
-    with pytest.raises(ValueError, match="missing end marker"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 94: expected 'end' as the last line$"):
         load_model(path)
 
 
@@ -186,7 +186,23 @@ def test_rejects_missing_tensor_block(model, tmp_path):
         return ls[:2] + ls[9:]
 
     path = write_and_mutate(model, tmp_path, mutate)
-    with pytest.raises(ValueError, match="missing tensors"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3: expected 'tensor input_affine.W 2 6 5'$"):
+        load_model(path)
+
+
+def test_rejects_swapped_tensor_blocks(model, tmp_path):
+    def mutate(ls):
+        # input_affine.W (header + 6 rows) and input_affine.b (header + 1 row)
+        return ls[:2] + ls[9:11] + ls[2:9] + ls[11:]
+
+    path = write_and_mutate(model, tmp_path, mutate)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3: expected 'tensor input_affine.W 2 6 5'$"):
+        load_model(path)
+
+
+def test_rejects_text_after_end_marker(model, tmp_path):
+    path = write_and_mutate(model, tmp_path, lambda ls: ls + ["tensor input_affine.b 1 6"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 95: expected 'end' as the last line$"):
         load_model(path)
 
 
@@ -233,7 +249,7 @@ def _rewrite(path, mutate):
 def test_malformed_tensor_header_names_file_and_line(tiny_path):
     assert Path(tiny_path).read_text().splitlines()[2] == "tensor input_affine.W 2 1 1"
     _rewrite(tiny_path, lambda ls: ls[:2] + ["tensor input_affine.W x 1 1"] + ls[3:])
-    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: malformed tensor header at line 3$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: line 3: expected 'tensor input_affine.W 2 1 1'$"):
         load_model(tiny_path)
 
 
@@ -244,8 +260,9 @@ def test_malformed_tensor_value_names_file_and_line(tiny_path):
 
 
 def test_repeated_tensor_block_is_rejected(tiny_path):
+    n = len(Path(tiny_path).read_text().splitlines())  # "end" is line n
     _rewrite(tiny_path, lambda ls: ls[:-1] + ["tensor output_affine.b 1 1", "9", "end"])
-    with pytest.raises(ValueError, match="tensor 'output_affine.b' repeated at line"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(tiny_path)}: line {n}: expected 'end' as the last line$"):
         load_model(tiny_path)
 
 

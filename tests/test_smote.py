@@ -2,8 +2,10 @@
 
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ddosflow import smote
 from ddosflow.errors import DataError
@@ -127,9 +129,6 @@ def _reference_neighbors(X_min, k):
 
 
 def test_neighbors_match_explicit_reference():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(
         n=st.integers(2, 60),
@@ -427,9 +426,6 @@ def _reference_oversample(ds, cfg):
 
 @pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_oversample_matches_per_row_reference():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         n_min=st.integers(2, 40),
