@@ -61,12 +61,14 @@ class Workspace:
     its backward temporaries are bound to shared buffers
     (:func:`bind_backward_buffers`).
 
-    The gradients of one model share one flat vector, ``arena``, end to end
-    in :func:`~ddosflow.nn.model.named_parameters` order. ``gradients`` maps
-    each tensor's name to its view of the arena; ``lay_out`` makes each
-    view the buffer that its layer's backward pass writes (a layer keeps
-    the gradient of its field ``f`` under the role ``"d" + f``), so Adagrad
-    can update every tensor with whole-vector operations.
+    The gradients of one model, ``arena_key``, share one flat vector,
+    ``arena``, end to end in :func:`~ddosflow.nn.model.named_parameters`
+    order. ``gradients`` maps each tensor's name to its view of the arena,
+    and each view is the buffer that its layer's backward pass writes (a
+    layer keeps the gradient of its field ``f`` under the role ``"d" + f``).
+    The backward pass returns ``gradients`` itself, and Adagrad, handed
+    that dict, updates every tensor with whole-vector operations on the
+    arena. No gradient from outside is ever written into the arena.
     """
 
     def __init__(self) -> None:
@@ -86,20 +88,6 @@ class Workspace:
 
     def bind(self, owner: object, role: str, buf: np.ndarray) -> None:
         self._buffers[owner, role] = buf
-
-    def lay_out(
-        self, key: object, slots: list[tuple[str, tuple[int, ...], object, str]]
-    ) -> dict[str, np.ndarray]:
-        """Give the gradients of ``slots``, ``(name, shape, owner, role)``
-        each, a new arena, laid end to end in order, and bind each view as
-        ``owner``'s ``role`` buffer (none where ``owner`` is None).
-        ``arena_key`` records whose layout the arena holds."""
-        self.arena, self.gradients = end_to_end({name: shape for name, shape, _, _ in slots})
-        self.arena_key = key
-        for name, _, owner, role in slots:
-            if owner is not None:
-                self.bind(owner, role, self.gradients[name])
-        return self.gradients
 
 
 def end_to_end(

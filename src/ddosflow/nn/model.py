@@ -33,6 +33,7 @@ from .layers import (
     residual_block_backward,
     rotating_workspace,
     bind_backward_buffers,
+    end_to_end,
 )
 from .losses import LossSpec, apply_loss
 
@@ -253,23 +254,22 @@ def model_forward(
     return logits, ((X, steps, h) if want_cache else None)
 
 
-def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> dict[str, np.ndarray]:
-    """``ws``'s gradient views for ``model``, laid out once per model and
-    workspace: tensor ``<path>.<field>`` is the ``d<field>`` buffer of the
-    layer at ``<path>``, so the backward passes write into the arena. The
-    passes' temporaries are bound to shared buffers
-    (:func:`~ddosflow.nn.layers.bind_backward_buffers`), again when a pass
-    needs more rows."""
+def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> None:
+    """Lay out ``ws``'s gradient arena for ``model``, once per model and
+    workspace: tensor ``<path>.<field>`` gets the arena view bound as the
+    ``d<field>`` buffer of the layer at ``<path>``, so the backward passes
+    write into the arena. The passes' temporaries are bound to shared
+    buffers (:func:`~ddosflow.nn.layers.bind_backward_buffers`), again when
+    a pass needs more rows."""
     if ws.arena_key is not model:
-        slots = [
-            (name, tensor.shape, owner, "d" + attr)
-            for name, tensor, owner, attr in _tensors(model, state=False)
-        ]
-        ws.lay_out(model, slots)
+        tensors = _tensors(model, state=False)
+        ws.arena, ws.gradients = end_to_end({name: t.shape for name, t, _, _ in tensors})
+        ws.arena_key = model
+        for name, _, owner, attr in tensors:
+            ws.bind(owner, "d" + attr, ws.gradients[name])
     if ws.backward_rows.get(model, 0) < rows:
         bind_backward_buffers(ws, model.output_affine, model.blocks, rows)
         ws.backward_rows[model] = rows
-    return ws.gradients
 
 
 def model_backward(
@@ -281,34 +281,27 @@ def model_backward(
     """Reverse-mode gradients for every trainable tensor.
 
     ``cache`` must come from a :func:`model_forward` call with
-    ``want_cache=True`` on the same batch. Returns a dict keyed exactly
-    like :func:`named_parameters`, in its order: each layer's gradients
-    come in the order of its fields. No input gradient is computed for
-    the input layer.
+    ``want_cache=True`` on the same batch. Returns the workspace's gradient
+    dict, ``ws.gradients``, keyed exactly like :func:`named_parameters`, in
+    its order. No input gradient is computed for the input layer.
 
-    The gradients are the views of the workspace's gradient arena
-    (:class:`Workspace`): with a caller's workspace its next backward pass
-    overwrites them; without one they belong to a fresh workspace, so the
-    caller owns them.
+    Each layer writes its gradients into its views of the workspace's
+    gradient arena (:class:`Workspace`): with a caller's workspace its next
+    backward pass overwrites them; without one they belong to a fresh
+    workspace, so the caller owns them.
     """
     if cache is None:
         raise ValueError("model_backward requires the forward cache")
     ws = Workspace() if ws is None else ws
-    names = _backward_buffers(model, ws, dlogits.shape[0])
+    _backward_buffers(model, ws, dlogits.shape[0])
     X, steps, h_last = cache
-    dh, *output_grads = affine_backward(
-        model.output_affine, h_last, dlogits.reshape(-1, 1), ws
-    )
-    block_grads: list[np.ndarray] = []
+    dh, *_ = affine_backward(model.output_affine, h_last, dlogits.reshape(-1, 1), ws)
     for block, (block_cache, attn_cache) in zip(model.blocks[::-1], steps[::-1]):
-        attn_grads = []
         if block.attention is not None:
-            dh, *attn_grads = attention_backward(block.attention, attn_cache, dh, ws)
-        dh, grads = residual_block_backward(block, block_cache, dh, ws)
-        # prepended: blocks are visited last to first
-        block_grads[:0] = grads + attn_grads
-    input_grads = list(affine_param_backward(model.input_affine, X, dh, ws))
-    return dict(zip(names, input_grads + block_grads + output_grads, strict=True))
+            dh, *_ = attention_backward(block.attention, attn_cache, dh, ws)
+        dh, _ = residual_block_backward(block, block_cache, dh, ws)
+    affine_param_backward(model.input_affine, X, dh, ws)
+    return ws.gradients
 
 
 def model_loss(

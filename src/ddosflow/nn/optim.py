@@ -40,13 +40,6 @@ def init_optimizer(
     return OptimizerState(eta=eta, eps_opt=eps_opt, G=G, accum=accum)
 
 
-def _laid_out_like(gradients: dict[str, np.ndarray], accum: dict[str, np.ndarray]) -> bool:
-    return len(gradients) == len(accum) and all(
-        name == other and g.shape == a.shape
-        for (name, g), (other, a) in zip(gradients.items(), accum.items())
-    )
-
-
 def adagrad_step(
     state: OptimizerState,
     params: dict[str, np.ndarray],
@@ -59,35 +52,33 @@ def adagrad_step(
     post-accumulation G. Parameters and state are updated in place.
 
     ``params`` names exactly the tensors of ``state``, as
-    :func:`named_parameters` gives them. The gradients are read from the
-    gradient arena of ``ws`` (or of a fresh workspace), laid out like
-    ``state.G``. A gradient that is not already its arena view, as
-    :func:`model_backward` returns them, is copied in. Whole-vector
-    operations then update the accumulator and build the step, and each
-    tensor takes its part of the step.
+    :func:`named_parameters` gives them, and ``grads`` holds a gradient of
+    each one's shape. Handed ``ws.gradients``, the dict that
+    :func:`model_backward` returns, laid out like ``state.G``, the step
+    reads the gradients in place from the arena of ``ws``; any other
+    gradients are concatenated in ``state.accum`` order into one temporary,
+    and nothing is written into the arena. Whole-vector operations then
+    update the accumulator and build the step, and each tensor takes its
+    part of the step.
     """
     if params.keys() != state.accum.keys():
         unmatched = sorted(set(params) ^ set(state.accum))
         raise KeyError(f"params must name exactly the optimizer's tensors: {unmatched}")
-    ws = Workspace() if ws is None else ws
-    arena = ws.gradients
-    if not _laid_out_like(arena, state.accum):
-        slots = [(name, a.shape, None, "") for name, a in state.accum.items()]
-        arena = ws.lay_out(state, slots)
-    for name, view in arena.items():
-        g = grads[name]
-        if g.shape != params[name].shape:
+    for name, w in params.items():
+        if grads[name].shape != w.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if g is not view:
-            view[...] = g
-    g, G = ws.arena, state.G
+    ws = Workspace() if ws is None else ws
+    if grads is ws.gradients and list(grads) == list(state.accum):
+        g = ws.arena
+    else:
+        g = np.concatenate([grads[name] for name in state.accum], axis=None)
     step = ws.get(state, "step", g.size)
     denom = ws.get(state, "denom", g.size)
-    G += np.multiply(g, g, out=step)
+    state.G += np.multiply(g, g, out=step)
     np.multiply(g, state.eta, out=step)
-    step /= np.sqrt(np.add(G, state.eps_opt, out=denom), out=denom)
+    step /= np.sqrt(np.add(state.G, state.eps_opt, out=denom), out=denom)
     offset = 0
-    for name, view in arena.items():
+    for name in state.accum:
         w = params[name]
-        w -= step[offset : offset + view.size].reshape(w.shape)
-        offset += view.size
+        w -= step[offset : offset + w.size].reshape(w.shape)
+        offset += w.size

@@ -73,10 +73,12 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
         ValueError: naming the file: a file that is not UTF-8 or has an
             unrecognized magic/version; a manifest that is not a JSON object,
             or whose ``architecture`` or ``n_features`` is missing or breaks
-            the config's type and range rules (the key named); a line that is
-            not the next tensor header, in the order :func:`save_model`
-            writes them, or not ``end`` as the last line; a truncated tensor;
-            or a malformed or non-finite value (the line named).
+            the config's type and range rules, or whose ``architecture``
+            lacks a field that :func:`save_model` writes (the key named); a
+            line that is not the next tensor header, in the order
+            :func:`save_model` writes them, or not ``end`` as the last line;
+            a truncated tensor; or a malformed or non-finite value (the line
+            named).
     """
     from ..config import _coerce, _from_dict  # config imports ddosflow.nn
 
@@ -99,7 +101,12 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
     try:
-        arch = _from_dict(ArchitectureConfig(), manifest.pop("architecture"), "architecture")
+        given = manifest.pop("architecture")
+        if isinstance(given, dict):  # save_model writes every field
+            for f in dataclasses.fields(ArchitectureConfig):
+                if f.name not in given:
+                    raise ConfigError(f"architecture lacks {f.name!r}")
+        arch = _from_dict(ArchitectureConfig(), given, "architecture")
         n_features = manifest.pop("n_features")
         if _coerce(n_features, 0) < 1:
             raise TypeError(f"expected an integer of at least 1, got {n_features!r}")

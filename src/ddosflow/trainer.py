@@ -73,8 +73,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epoch counts must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2:  # every block's batch norm needs two rows
+            raise ValueError("batch_size must be >= 2")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.lambda_anchor < 0:

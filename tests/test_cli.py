@@ -222,9 +222,10 @@ def test_train_unparseable_config(tmp_path, capsys):
         ({"architecture": {"bn_eps": 0.0}}, "architecture: bn_eps must be positive"),
         ({"architecture": {"bn_momentum": 7.0}}, "bn_momentum in [0, 1)"),
         ({"architecture": {"bn_momentum": 1.0}}, "bn_momentum in [0, 1)"),
+        ({"train": {"batch_size": 1}}, "train: batch_size must be >= 2"),
     ],
     ids=["eta-nan", "lambda-inf", "ratio-minus-inf", "eps-negative", "eps-zero",
-         "momentum-7", "momentum-1"],
+         "momentum-7", "momentum-1", "batch-size-1"],
 )
 def test_train_rejects_a_bad_number_before_reading_data(tmp_path, capsys, doc, message):
     cfg = tmp_path / "config.json"
@@ -232,7 +233,8 @@ def test_train_rejects_a_bad_number_before_reading_data(tmp_path, capsys, doc, m
     # the data file does not exist: reading it would exit 2, not 1
     rc, _ = run_train(tmp_path, str(tmp_path / "absent.csv"), config=str(cfg))
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
 
 
 def test_train_creates_the_model_files_directory(tmp_path):
@@ -433,9 +435,9 @@ def test_evaluate_corrupt_model(tmp_path, capsys):
     assert f"data error: load-model: {bad}: not a model file" in capsys.readouterr().err
 
 
-def _drop(key):
+def _drop(key, section=None):
     def edit(manifest):
-        del manifest[key]
+        del (manifest[section] if section else manifest)[key]
         return manifest
     return edit
 
@@ -454,6 +456,8 @@ def _put(key, value, section=None):
         (lambda manifest: list(manifest), "manifest is not a JSON object"),
         (_drop("architecture"), "manifest lacks 'architecture'"),
         (_drop("n_features"), "manifest lacks 'n_features'"),
+        (_drop("bn_eps", "architecture"), "manifest rejected: architecture lacks 'bn_eps'"),
+        (_drop("block_widths", "architecture"), "manifest rejected: architecture lacks 'block_widths'"),
         (_put("bogus", 1, "architecture"), "manifest rejected: .*bogus"),
         (_put("input_width", 64.0, "architecture"), "manifest rejected: architecture.input_width: expected an integer"),
         (_put("block_widths", [64, 64.0, 64], "architecture"), "manifest rejected: architecture.block_widths: expected a list of integers"),
@@ -463,7 +467,8 @@ def _put(key, value, section=None):
         (_put("n_features", -3), "manifest rejected: n_features: expected an integer of at least 1, got -3"),
     ],
     ids=[
-        "not-an-object", "no-architecture", "no-n_features", "unknown-architecture-key",
+        "not-an-object", "no-architecture", "no-n_features",
+        "architecture-no-bn_eps", "architecture-no-block_widths", "unknown-architecture-key",
         "input_width-float", "block_widths-float", "bn_eps-bool",
         "n_features-fraction", "n_features-string", "n_features-negative",
     ],

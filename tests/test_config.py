@@ -100,6 +100,8 @@ def test_invariant_violations_name_the_section():
         config_from_dict({"split": {"test_fraction": 2.0}})
     with pytest.raises(ConfigError, match="train: "):
         config_from_dict({"train": {"batch_size": 0}})
+    with pytest.raises(ConfigError, match="train: batch_size must be >= 2"):
+        config_from_dict({"train": {"batch_size": 1}})
     with pytest.raises(ConfigError, match="smote: k"):
         config_from_dict({"smote": {"k": 0}})
 

@@ -5,9 +5,12 @@ import pytest
 
 from ddosflow.nn import (
     ArchitectureConfig,
+    LossSpec,
+    Workspace,
     adagrad_step,
     init_model,
     init_optimizer,
+    model_loss,
     named_parameters,
 )
 
@@ -121,6 +124,27 @@ def test_step_scale_shrinks_with_history():
         delta = abs(w[0] - last)
         assert delta < prev_delta
         prev_delta, last = delta, w[0]
+
+
+def test_outside_gradients_leave_the_workspace_arena_alone():
+    """Gradients that are not the workspace's own are read from a
+    concatenated copy: the arena that the backward pass wrote keeps its
+    values, and the step has the bits of the same call without a workspace."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    X, y = rng.standard_normal((16, 3)), rng.integers(0, 2, 16).astype(float)
+    model, twin = tiny_model(seed=5), tiny_model(seed=5)
+    ws = Workspace()
+    _, grads = model_loss(model, X, y, LossSpec(kind="bce"), ws=ws)
+    arena = ws.arena.copy()
+    outside = {name: 2.0 * g for name, g in grads.items()}
+    params, twin_params = dict(named_parameters(model)), dict(named_parameters(twin))
+    opt, twin_opt = init_optimizer(model, eta=0.1), init_optimizer(twin, eta=0.1)
+    adagrad_step(opt, params, outside, ws)
+    adagrad_step(twin_opt, twin_params, outside)
+    assert ws.arena.tobytes() == arena.tobytes()
+    assert opt.G.tobytes() == twin_opt.G.tobytes()
+    for name, w in params.items():
+        assert w.tobytes() == twin_params[name].tobytes(), name
 
 
 def test_gradient_shape_mismatch_rejected():

@@ -66,6 +66,8 @@ def test_config_validation():
         TrainConfig(epochs_phase1=-1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="batch_size must be >= 2"):
+        TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(eta=0.0)
     with pytest.raises(ValueError):

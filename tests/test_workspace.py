@@ -278,6 +278,7 @@ def test_backward_names_the_gradients_once_per_model(monkeypatch):
         logits, cache = model_forward(model, X, mode="train", want_cache=True, ws=ws)
         grads = model_backward(model, cache, np.ones_like(logits), ws)
     assert len(walks) == 1
+    assert grads is ws.gradients
     assert list(grads) == [name for name, _ in named_parameters(model)]
 
 
