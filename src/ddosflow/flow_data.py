@@ -514,7 +514,7 @@ def load_flow_csv(
     if not keep.size:
         raise DataError(f"{path}: no numeric feature columns found")
     if keep.size < len(take):
-        features = features.take(keep, axis=1)  # C-ordered, one copy
+        features = _keep_columns(features, keep)
     dataset = FlowDataset(tuple(col_names[j] for j in keep), features, labels)
     dropped = [name for name, count in zip(col_names, evidence) if not count]
     return dataset, dropped
@@ -575,6 +575,22 @@ def _row_blocks(X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     step = max(1, _ROW_BLOCK_CELLS // max(X.shape[1], 1))
     for start in range(0, X.shape[0], step):
         yield start, X[start : start + step]
+
+
+def _keep_columns(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``X[:, keep]`` for a C-ordered ``X``, inside ``X``'s own buffer.
+
+    Each block of rows gathers its kept cells into a temporary and writes
+    them leftwards, as the rows of the narrower C-ordered matrix that
+    starts where ``X`` does. Rows before the next block then end where
+    that block begins in ``X`` or earlier, so no row is overwritten before
+    it is read, and the only temporary is one block's. ``X`` is
+    overwritten; the result is a view of its buffer.
+    """
+    out = X.reshape(-1)[: X.shape[0] * keep.size].reshape(X.shape[0], keep.size)
+    for start, block in _row_blocks(X):
+        out[start : start + block.shape[0]] = block[:, keep]  # the gather copies first
+    return out
 
 
 def _finite_means(X: np.ndarray, names: Sequence[str]) -> np.ndarray:

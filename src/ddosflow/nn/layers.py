@@ -59,7 +59,19 @@ class Workspace:
     that keep no backward cache (:func:`rotating_workspace`) and the rows
     it was made for; ``backward_rows`` holds, per model, the rows for which
     its backward temporaries are bound to shared buffers
-    (:func:`bind_backward_buffers`).
+    (:func:`bind_backward_buffers`) and the scratch vector they view.
+
+    The temporaries that live only inside one call share one flat vector,
+    ``scratch`` (:meth:`scratch_views`): the five of a backward pass, the
+    three activations of a pass without a cache and Adagrad's step and
+    denominator (:func:`~ddosflow.nn.optim.adagrad_step`). Each of those
+    calls writes them before it reads them and leaves nothing in them that
+    a later call reads, and no two of the calls run at once, so they all
+    start at the front of the vector. The vector grows only when a call
+    needs more of it; a plan laid out on a smaller one is laid out again
+    at its next use. So what a pass without a cache returns (its logits)
+    is the caller's only until the workspace's next backward pass, Adagrad
+    step or pass without a cache, any of which may overwrite it.
 
     The gradients of one model, ``arena_key``, share one flat vector,
     ``arena``, end to end in :func:`~ddosflow.nn.model.named_parameters`
@@ -73,11 +85,12 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple[object, str], np.ndarray] = {}
+        self.scratch = np.empty(0)
         self.arena = np.empty(0)
         self.arena_key: object = None
         self.gradients: dict[str, np.ndarray] = {}
         self.uncached: dict[object, tuple[int, Workspace]] = {}
-        self.backward_rows: dict[object, int] = {}
+        self.backward_rows: dict[object, tuple[int, np.ndarray]] = {}
 
     def get(self, owner: object, role: str, rows: int, *cols: int) -> np.ndarray:
         key = (owner, role)
@@ -88,6 +101,22 @@ class Workspace:
 
     def bind(self, owner: object, role: str, buf: np.ndarray) -> None:
         self._buffers[owner, role] = buf
+
+    def scratch_views(self, *sizes: int) -> list[np.ndarray]:
+        """Consecutive flat views of ``scratch``, one of each size, each
+        starting on a 64-byte boundary. ``scratch`` is first replaced by a
+        vector large enough for them when it is not."""
+        padded = [-(-size // 8) * 8 for size in sizes]  # 8 floats: 64 bytes
+        total = sum(padded)
+        if self.scratch.size < total:
+            raw = np.empty(total + 7)
+            start = -raw.ctypes.data % 64 // raw.itemsize
+            self.scratch = raw[start : start + total]
+        views, at = [], 0
+        for size, pad in zip(sizes, padded):
+            views.append(self.scratch[at : at + size])
+            at += pad
+        return views
 
 
 def end_to_end(
@@ -388,34 +417,43 @@ def residual_block_backward(
     return dx, grads
 
 
-def _bind_shared(ws: Workspace, rows: int, plan: list[tuple[int, object, str, int]]) -> Workspace:
+def _bind_shared(
+    ws: Workspace, rows: int, plan: list[tuple[int, object, str, int]], lender: Workspace
+) -> Workspace:
     """Bind each ``(k, owner, role, cols)`` of ``plan`` (none where
-    ``owner`` is None) as a ``rows`` by ``cols`` view of the k-th of a few
-    shared buffers."""
+    ``owner`` is None) in ``ws`` as a ``rows`` by ``cols`` view of the k-th
+    of a few consecutive buffers of ``lender``'s scratch vector
+    (:meth:`Workspace.scratch_views`), which ``ws`` then names as its own
+    ``scratch``: the vector its plan was laid out on."""
     width = max(cols for _, owner, _, cols in plan if owner is not None)
-    flats = [np.empty(rows * width) for _ in range(1 + max(k for k, *_ in plan))]
+    flats = lender.scratch_views(*[rows * width] * (1 + max(k for k, *_ in plan)))
     for k, owner, role, cols in plan:
         if owner is not None:
             ws.bind(owner, role, flats[k][: rows * cols].reshape(rows, cols))
+    ws.scratch = lender.scratch
     return ws
 
 
 def rotating_workspace(
-    first: AffineParams, blocks: list[ResidualBlockParams], rows: int
+    first: AffineParams, blocks: list[ResidualBlockParams], rows: int, outer: Workspace
 ) -> Workspace:
     """A workspace for passes of up to ``rows`` rows through ``first`` and
     then ``blocks`` (with their attention) that keep no backward cache.
 
-    Its activation buffers are views of three shared buffers, bound under
-    the roles by which the layer functions above ask for them, so that no
-    buffer is written while its contents are still to be read. ``first``
-    writes buffer ``h``. A block reads its input from ``h`` (kept for the
-    shortcut) and computes its first stage in ``a`` and its second in
-    ``b`` (its batch norms and ReLUs work in place), keeping each batch
-    norm's squares and ``xhat`` in the third buffer; the projection
-    shortcut goes into ``a`` once ``affine2`` has read it. The block's
-    output and its attention stay in ``b``, the next block's input, and
-    the attention scores take ``a``.
+    Its activation buffers are views of three buffers at the front of
+    ``outer``'s scratch vector, bound under the roles by which the layer
+    functions above ask for them, so that no buffer is written while its
+    contents are still to be read. ``first`` writes buffer ``h``. A block
+    reads its input from ``h`` (kept for the shortcut) and computes its
+    first stage in ``a`` and its second in ``b`` (its batch norms and ReLUs
+    work in place), keeping each batch norm's squares and ``xhat`` in the
+    third buffer; the projection shortcut goes into ``a`` once ``affine2``
+    has read it. The block's output and its attention stay in ``b``, the
+    next block's input, and the attention scores take ``a``.
+
+    The three buffers are dead once the pass has returned its logits, so
+    ``outer``'s backward passes and Adagrad steps reuse the same memory
+    (:class:`Workspace`).
     """
     plan = [(0, first, "out", first.W.shape[0])]
     h = 0
@@ -429,7 +467,7 @@ def rotating_workspace(
             (a, block.attention, "A", w), (b, block.attention, "out", w),
         ]
         h = b
-    return _bind_shared(Workspace(), rows, plan)
+    return _bind_shared(Workspace(), rows, plan, outer)
 
 
 def bind_backward_buffers(
@@ -437,7 +475,8 @@ def bind_backward_buffers(
 ) -> Workspace:
     """Bind ``ws``'s buffers for backward passes of up to ``rows`` rows from
     ``last`` back through ``blocks`` (with their attention) to five
-    shared buffers, so that every block's temporaries reuse the same ones.
+    buffers at the front of ``ws``'s scratch vector, so that every block's
+    temporaries reuse the same ones.
 
     ``G`` holds the gradient that flows between layers: ``last``'s input
     gradient, each attention's (computed in place) and each block's. In a
@@ -445,6 +484,11 @@ def bind_backward_buffers(
     shortcut, ``T1`` and ``T2`` take the stages in turn, and ``S`` is each
     batch norm's scratch; the block's input gradient goes into ``G``,
     whose incoming gradient the output ReLU has read.
+
+    The parameter gradients go into the arena, not these buffers, so the
+    five are dead once the pass returns, and the Adagrad step and the
+    passes without a cache that follow on ``ws`` reuse the same memory
+    (:class:`Workspace`).
     """
     G, P, T1, T2, S = range(5)
     plan = [(G, last, "dx", last.W.shape[1])]
@@ -458,4 +502,4 @@ def bind_backward_buffers(
             (T2, block.bn1, "dx", w), (S, block.bn1, "scratch", w),
             (G, block.affine1, "dx", w_in), (T1, block.projection, "dx", w_in),
         ]
-    return _bind_shared(ws, rows, plan)
+    return _bind_shared(ws, rows, plan, ws)

@@ -202,11 +202,13 @@ def named_state(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 def _uncached_workspace(model: ModelParams, ws: Workspace, rows: int) -> Workspace:
     """The workspace of ``ws`` for passes of ``model`` that keep no cache,
     made once per model and workspace and again when a pass needs more
-    rows (see :func:`~ddosflow.nn.layers.rotating_workspace`)."""
+    rows or ``ws``'s scratch vector has grown since it was laid out (see
+    :func:`~ddosflow.nn.layers.rotating_workspace`)."""
     capacity, inner = ws.uncached.get(model, (0, None))
-    if inner is None or capacity < rows:
-        inner = rotating_workspace(model.input_affine, model.blocks, rows)
-        ws.uncached[model] = (rows, inner)
+    if inner is None or capacity < rows or inner.scratch is not ws.scratch:
+        capacity = max(capacity, rows)
+        inner = rotating_workspace(model.input_affine, model.blocks, capacity, ws)
+        ws.uncached[model] = (capacity, inner)
     return inner
 
 
@@ -227,11 +229,13 @@ def model_forward(
 
     The logits and every cached array live in the workspace ``ws``: with
     a caller's workspace they are views that its next pass over this model
-    overwrites; without one they belong to a fresh workspace, so the
-    caller owns them. A pass with a cache keeps every layer's output; a
-    pass without one runs the same layer functions on three rotating
-    activation buffers, so a large batch holds about three activations at
-    once (see :func:`~ddosflow.nn.layers.rotating_workspace`).
+    overwrites (and, without a cache, its next backward pass or Adagrad
+    step may, see :class:`~ddosflow.nn.layers.Workspace`); without one
+    they belong to a fresh workspace, so the caller owns them. A pass with
+    a cache keeps every layer's output; a pass without one runs the same
+    layer functions on three rotating activation buffers, so a large batch
+    holds about three activations at once (see
+    :func:`~ddosflow.nn.layers.rotating_workspace`).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -258,18 +262,20 @@ def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> None:
     """Lay out ``ws``'s gradient arena for ``model``, once per model and
     workspace: tensor ``<path>.<field>`` gets the arena view bound as the
     ``d<field>`` buffer of the layer at ``<path>``, so the backward passes
-    write into the arena. The passes' temporaries are bound to shared
-    buffers (:func:`~ddosflow.nn.layers.bind_backward_buffers`), again when
-    a pass needs more rows."""
+    write into the arena. The passes' temporaries are bound to views of
+    the scratch vector (:func:`~ddosflow.nn.layers.bind_backward_buffers`),
+    again when a pass needs more rows or the vector has grown since."""
     if ws.arena_key is not model:
         tensors = _tensors(model, state=False)
         ws.arena, ws.gradients = end_to_end({name: t.shape for name, t, _, _ in tensors})
         ws.arena_key = model
         for name, _, owner, attr in tensors:
             ws.bind(owner, "d" + attr, ws.gradients[name])
-    if ws.backward_rows.get(model, 0) < rows:
-        bind_backward_buffers(ws, model.output_affine, model.blocks, rows)
-        ws.backward_rows[model] = rows
+    capacity, scratch = ws.backward_rows.get(model, (0, None))
+    if capacity < rows or scratch is not ws.scratch:
+        capacity = max(capacity, rows)
+        bind_backward_buffers(ws, model.output_affine, model.blocks, capacity)
+        ws.backward_rows[model] = (capacity, ws.scratch)
 
 
 def model_backward(

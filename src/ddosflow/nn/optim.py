@@ -60,6 +60,11 @@ def adagrad_step(
     and nothing is written into the arena. Whole-vector operations then
     update the accumulator and build the step, and each tensor takes its
     part of the step.
+
+    The step and its denominator are the front of ``ws``'s scratch vector
+    (:class:`~ddosflow.nn.layers.Workspace`), which the backward pass's
+    temporaries and the passes without a cache also use: those are dead
+    once their call returns, and the step reads neither.
     """
     if params.keys() != state.accum.keys():
         unmatched = sorted(set(params) ^ set(state.accum))
@@ -72,8 +77,7 @@ def adagrad_step(
         g = ws.arena
     else:
         g = np.concatenate([grads[name] for name in state.accum], axis=None)
-    step = ws.get(state, "step", g.size)
-    denom = ws.get(state, "denom", g.size)
+    step, denom = ws.scratch_views(g.size, g.size)
     state.G += np.multiply(g, g, out=step)
     np.multiply(g, state.eta, out=step)
     step /= np.sqrt(np.add(state.G, state.eps_opt, out=denom), out=denom)

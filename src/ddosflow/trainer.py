@@ -168,13 +168,20 @@ def _run_epochs(
     rng: np.random.Generator | None,
     opt: OptimizerState | None,
     anchors: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[ModelParams, TrainReport]:
     """Mini-batch Adagrad on ``dataset`` for one phase, updating ``model``
-    in place; without a caller's rng/opt, a fresh stream and accumulator.
+    in place; without a caller's rng/opt/ws, a fresh stream, accumulator
+    and workspace.
 
     One workspace serves every step and accuracy pass of the phase, so
     after the first epoch a step allocates no batch, activation or
-    gradient arrays."""
+    gradient arrays. Each step's backward pass, its Adagrad update and
+    each epoch's accuracy pass take their temporaries from the front of
+    the workspace's one scratch vector: they run one after another, and
+    none reads what an earlier one left there (the gradients are in the
+    arena, the batch and the cached activations in buffers of their
+    own)."""
     if dataset.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
     if rng is None:
@@ -186,7 +193,7 @@ def _run_epochs(
     # the losses take float targets; converted once, not once per batch
     y = dataset.labels.astype(np.float64)
     params = dict(named_parameters(model))
-    ws = Workspace()
+    ws = Workspace() if ws is None else ws
     records: list[EpochRecord] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
@@ -222,19 +229,25 @@ def train_phase1(
     cfg: TrainConfig,
     rng: np.random.Generator | None = None,
     opt: OptimizerState | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[ModelParams, TrainReport]:
     """Mini-batch Adagrad on the original scaled flows.
 
     The model is updated in place and also returned. Passing rng/opt
-    lets a caller keep one shuffle stream and accumulator across phases.
+    lets a caller keep one shuffle stream and accumulator across phases,
+    and ``ws`` one set of buffers.
     """
     spec = LossSpec(kind=cfg.loss_phase1, eps_dice=cfg.eps_dice)
-    return _run_epochs(model, dataset, spec, cfg, cfg.epochs_phase1, 1, rng, opt)
+    return _run_epochs(model, dataset, spec, cfg, cfg.epochs_phase1, 1, rng, opt, ws=ws)
 
 
-def compute_anchors(model: ModelParams, dataset: FlowDataset) -> np.ndarray:
-    """Frozen inference-mode probabilities on every row (synthetic too)."""
-    return predict_proba(model, dataset.features)
+def compute_anchors(
+    model: ModelParams, dataset: FlowDataset, ws: Workspace | None = None
+) -> np.ndarray:
+    """Frozen inference-mode probabilities on every row (synthetic too),
+    scored through ``ws`` (or a fresh workspace) as :func:`predict_proba`
+    scores."""
+    return predict_proba(model, dataset.features, ws)
 
 
 def train_phase2(
@@ -244,10 +257,12 @@ def train_phase2(
     cfg: TrainConfig,
     rng: np.random.Generator | None = None,
     opt: OptimizerState | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[ModelParams, TrainReport]:
     """Anchored refinement on the oversampled flows.
 
     Each batch's penalty uses that batch's slice of the anchor vector.
+    ``ws`` is as in :func:`train_phase1`.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.shape != (balanced.n_rows,):
@@ -262,7 +277,7 @@ def train_phase2(
         eps_dice=cfg.eps_dice,
     )
     return _run_epochs(
-        model, balanced, spec, cfg, cfg.epochs_phase2, 2, rng, opt, anchors
+        model, balanced, spec, cfg, cfg.epochs_phase2, 2, rng, opt, anchors, ws
     )
 
 
@@ -276,16 +291,23 @@ def run_dual_phase(
 
     One shuffle generator is threaded through both phases; the Adagrad
     accumulator restarts at the phase boundary unless configured not to.
+    One workspace serves the whole run: phase 2 reuses phase 1's batch,
+    activation and gradient buffers, and the anchors and every accuracy
+    pass score through the same rotating buffers, all of which, with the
+    backward temporaries and Adagrad's, share one scratch vector (see
+    :func:`_run_epochs`). The phases and the anchors run one after another,
+    so no two of them use a buffer at once.
     Returns the trained model, the merged report, and the anchor vector.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
+    ws = Workspace()
     t0 = time.perf_counter()
-    model, rep1 = train_phase1(model, train_set, cfg, rng=rng, opt=opt)
-    anchors = compute_anchors(model, balanced)
+    model, rep1 = train_phase1(model, train_set, cfg, rng=rng, opt=opt, ws=ws)
+    anchors = compute_anchors(model, balanced, ws)
     if cfg.reset_optimizer_phase2:
         opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
-    model, rep2 = train_phase2(model, balanced, anchors, cfg, rng=rng, opt=opt)
+    model, rep2 = train_phase2(model, balanced, anchors, cfg, rng=rng, opt=opt, ws=ws)
     report = TrainReport(
         rep1.records + rep2.records, time.perf_counter() - t0
     )

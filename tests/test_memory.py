@@ -21,6 +21,7 @@ from ddosflow.flow_data import (
     load_feature_matrix,
     load_flow_csv,
     train_test_split,
+    _record_bound,
 )
 from ddosflow.smote import SmoteConfig, oversample, synthetic_count
 
@@ -90,6 +91,28 @@ def test_reading_a_capture_holds_its_matrix_once(capture):
     peak, (ds, _) = _traced_peak(lambda: load_flow_csv(path, columns=NAMES))
     assert ds.features.nbytes == MATRIX_BYTES
     assert peak <= 1.3 * ds.features.nbytes + BLOCK_BYTES
+
+
+def test_dropping_identifier_columns_holds_the_read_buffer_once(tmp_path):
+    """The identifier columns are dropped inside the matrix the reader
+    filled, so the load peaks at that buffer and one block, not with a
+    second, narrower copy beside it."""
+    ids = ["Flow ID", "Source IP", "Timestamp"]
+    rng = np.random.Generator(np.random.PCG64(7))
+    X = rng.normal(size=(N_ROWS, N_FEATURES))
+    lines = [",".join(ids[:2] + NAMES[:40] + ids[2:] + NAMES[40:] + ["Label"])]
+    for i, row in enumerate(X.tolist()):
+        cells = [repr(v) for v in row]
+        flow = [f"10.0.{i % 256}.1-10.0.0.{i % 7}-{i}", f"192.168.{i % 256}.{i % 13}"]
+        lines.append(",".join(flow + cells[:40] + [f"7/7/2017 9:{i % 60:02d}"] + cells[40:] + ["BENIGN"]))
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    read_buffer = _record_bound(str(path)) * (len(ids) + N_FEATURES) * 8
+    peak, (ds, dropped) = _traced_peak(lambda: load_flow_csv(str(path)))
+    assert dropped == ids
+    assert ds.features.flags.c_contiguous
+    assert ds.features.tobytes() == X.tobytes()
+    assert peak <= read_buffer + BLOCK_BYTES
 
 
 def test_scaling_makes_only_its_result():

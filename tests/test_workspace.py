@@ -360,6 +360,64 @@ def test_steady_state_step_and_scoring_chunk_allocate_no_activations(monkeypatch
         assert peak_rise(fn) < activation / 2
 
 
+def test_anchors_and_phase_two_reuse_phase_one_buffers():
+    """Once phase 1 has run an epoch on a workspace, the anchors and a
+    phase-2 epoch on it find every batch, activation, gradient and scratch
+    buffer they need there; what remains is row vectors."""
+    m, width = 512, 128
+    model = init_model(8, ArchitectureConfig(input_width=width, block_widths=(width,) * 3))
+    # 1000 rows score in chunks of up to 488 rows, 1200 in chunks of up to 432
+    train_set, balanced = flow_blobs(1000, 8, 14), flow_blobs(1200, 8, 15)
+    cfg = TrainConfig(epochs_phase1=1, epochs_phase2=1, batch_size=m)
+    rng, ws = np.random.Generator(np.random.PCG64(0)), Workspace()
+    trainer.train_phase1(model, train_set, cfg, rng=rng, ws=ws)
+    opt = init_optimizer(model)  # about two activations
+
+    def anchors_and_phase_two():
+        anchors = trainer.compute_anchors(model, balanced, ws)
+        trainer.train_phase2(model, balanced, anchors, cfg, rng=rng, opt=opt, ws=ws)
+
+    assert peak_rise(anchors_and_phase_two) < m * width * 8 / 2
+
+
+def test_backward_adagrad_and_scoring_share_one_scratch_vector(monkeypatch):
+    """On a fresh workspace, a training step and a scoring chunk hold the
+    cached activations, the arena and one scratch vector, which the five
+    backward temporaries, Adagrad's two vectors and the three rotating
+    activations share: about 21.5 activations, where separate buffers for
+    each held about 26.3."""
+    m, width = 512, 64
+    model = init_model(8, ArchitectureConfig(input_width=width, block_widths=(width,) * 3))
+    rng = np.random.Generator(np.random.PCG64(9))
+    X, y, anchors = rows(rng, m, 8), rng.integers(0, 2, m).astype(float), rng.uniform(size=m)
+    spec = LossSpec(kind="anchored", base="dice", lambda_anchor=0.1)
+    opt, params = init_optimizer(model), dict(named_parameters(model))
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", m)
+
+    def step_and_score():
+        ws = Workspace()
+        _, grads = model_loss(model, X, y, spec, anchors=anchors, ws=ws)
+        adagrad_step(opt, params, grads, ws)
+        predict_proba(model, X, ws=ws)
+
+    step_and_score()  # NumPy's and the loss's one-time set-up
+    assert peak_rise(step_and_score) < 24 * m * width * 8
+
+
+@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+def test_anchors_on_a_training_workspace_match_a_fresh_one(arch, monkeypatch):
+    """Anchors scored through the workspace that training used, whose
+    scratch vector grows when the scoring chunks outsize the batches, have
+    the bits of anchors scored through a fresh workspace."""
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", 64)
+    model = init_model(5, arch)
+    train_set, balanced = flow_blobs(90, 5, 16), flow_blobs(300, 5, 17)
+    ws = Workspace()
+    trainer.train_phase1(model, train_set, TrainConfig(epochs_phase1=2, batch_size=32), ws=ws)
+    grown = trainer.compute_anchors(model, balanced, ws)
+    assert_same_bits([grown], [trainer.compute_anchors(model, balanced)])
+
+
 def test_large_uncached_pass_holds_a_few_activations():
     """A 4096-row pass without a cache or a caller's workspace holds its
     three rotating buffers and a few row vectors, where the pass with a
