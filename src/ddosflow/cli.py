@@ -297,6 +297,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"train {train_ds.n_rows} rows -> {balanced.n_rows} after oversampling "
         f"({balanced.n_rows - train_ds.n_rows} synthetic); test {test_ds.n_rows} rows"
     )
+    if balanced.n_rows > train_ds.n_rows:
+        # minority_neighbors clamps k to the other minority rows
+        n_min = int(train_counts.min())
+        k = min(cfg.smote.k, n_min - 1)
+        print(f"smote k={k} ({cfg.smote.k} requested, {n_min} minority rows)")
 
     with _stage("train"):
         model = init_model(train_ds.n_features, cfg.architecture)

@@ -577,6 +577,34 @@ def _row_blocks(X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield start, X[start : start + step]
 
 
+def _std_by_blocks(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``X.std(axis=0)`` (population std) with its bits, one block of rows
+    at a time; ``means`` is ``X.mean(axis=0)``.
+
+    NumPy squares the deviations into a temporary of ``X``'s size and, for
+    a C-ordered matrix of two or more columns, sums each column in row
+    order. Here each block's squared deviations go into rows 1.. of one
+    buffer whose row 0 carries the running sums, so summing the buffer
+    down its columns continues every sum in that same order; the first
+    block's row 0 is zeros, and 0 + x*x is x*x. A single column, or a
+    matrix that is not C-ordered, NumPy sums pairwise along each column
+    instead, so it takes NumPy's own std and its temporary.
+    """
+    n, d = X.shape
+    if d < 2 or not X.flags.c_contiguous:
+        return X.std(axis=0)
+    buf = np.empty((min(n, max(1, _ROW_BLOCK_CELLS // d)) + 1, d))
+    sums = np.zeros(d)
+    for _, block in _row_blocks(X):
+        rows = buf[: block.shape[0] + 1]
+        rows[0] = sums
+        np.subtract(block, means, out=rows[1:])
+        np.multiply(rows[1:], rows[1:], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=sums)
+    sums /= n
+    return np.sqrt(sums, out=sums)
+
+
 def _keep_columns(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``X[:, keep]`` for a C-ordered ``X``, inside ``X``'s own buffer.
 
@@ -717,7 +745,10 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
     """Fit per-column population mean and standard deviation (divisor n).
 
     Fit on training rows only; apply the result to every other partition
-    with :func:`apply_scaler`.
+    with :func:`apply_scaler`. The results have the bits of
+    ``features.mean(axis=0)`` and ``features.std(axis=0)``, and beside them
+    the fit holds one block of rows (``_ROW_BLOCK_CELLS`` cells, 512 KB),
+    not a temporary of the training rows' size (see :func:`_std_by_blocks`).
 
     Raises:
         DataError: no rows, or columns (named) whose mean or standard
@@ -727,7 +758,7 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
         raise DataError("cannot fit scaler on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         means = train.features.mean(axis=0)
-        stds = train.features.std(axis=0)  # ddof=0: population std
+        stds = _std_by_blocks(train.features, means)
     overflow = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
     if overflow.size:
         names = ", ".join(train.feature_names[j] for j in overflow)

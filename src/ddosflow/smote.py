@@ -2,7 +2,7 @@
 
 Synthetic rows are built by walking the minority class in row order,
 drawing one of each row's k nearest minority neighbors and a uniform
-random fraction, then interpolating every row at once:
+random fraction, then interpolating the rows one block at a time:
 
     new = parent + lam * (neighbor - parent),  lam ~ U[0, 1)
 
@@ -12,7 +12,6 @@ neighbor distances are not dominated by large-magnitude columns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,21 +58,27 @@ class SmoteProvenance(NamedTuple):
     lambda_interp: np.ndarray
 
 
-# Float64 cells (1 MB) per working array: a block of Gram rows, its
-# candidate pairs and each chunk of re-rank difference rows stay within
-# this, so the search holds under 10 MB beside the input and its centred
-# copy however wide the candidate sets grow (for n <= _BLOCK_CELLS; one
-# query row always takes n cells). On 1600 x 78 rows (one BLAS thread),
-# the search took 39-41 ms with blocks of 1 << 17 cells, 43-52 ms with
-# 1 << 19.
-_BLOCK_CELLS = 1 << 17
+# Float64 cells (256 KB) per working array: a block of Gram rows, its
+# candidate pairs, each chunk of re-rank difference rows and each block of
+# synthetic rows stay within this, so the search holds under 2.5 MB beside
+# the input and its centred copy however wide the candidate sets grow (for
+# n <= _BLOCK_CELLS; one query row always takes n cells), and synthesis
+# three blocks. In ``train`` these arrays come from the heap that freeing
+# the loaded matrix left, so they set how high that heap grows: on the
+# cicids benchmark file (one BLAS thread, NumPy 2.4.6), ``train`` peaked at
+# 51.4-51.6 MB RSS with 1 << 15 or 1 << 16 cells and at 53.1-53.8 MB with
+# 1 << 17. 1 << 15 keeps a margin below that edge. On its 1583 x 78
+# minority rows the search took a median 35.3 ms with 1 << 15 cells,
+# 32.3 ms with 1 << 16 and 30.3 ms with 1 << 17 (41 alternating runs).
+_BLOCK_CELLS = 1 << 15
 
 
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows.
 
     Distances are Euclidean; self is excluded; ties break toward the lower
-    row index. If ``k`` exceeds ``rows - 1`` it is clamped with a warning.
+    row index. A ``k`` above ``rows - 1`` is clamped to ``rows - 1`` without
+    a warning; the result's width is the k used.
 
     The neighbors are exact, found in two steps. A Gram-matrix search
     (``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows, one matrix product
@@ -99,13 +104,7 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     n = X_min.shape[0]
     if n < 2:
         raise DataError("SMOTE requires >=2 minority samples")
-    if k > n - 1:
-        warnings.warn(
-            f"requested k={k} but only {n} minority rows; clamping k to {n - 1}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        k = n - 1
+    k = min(k, n - 1)
 
     d = X_min.shape[1]
     # Rounding bound of the Gram distance G against the explicit one E.
@@ -164,13 +163,19 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
 
 
 def synthesize(
-    x_i: np.ndarray, x_zi: np.ndarray, lambda_interp: float | np.ndarray
+    x_i: np.ndarray,
+    x_zi: np.ndarray,
+    lambda_interp: float | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interpolate rows: ``x_i + lambda_interp * (x_zi - x_i)``.
 
     ``x_i`` and ``x_zi`` have shape (..., d) and ``lambda_interp`` holds one
     factor per row, shape (...): a scalar for a single row. With factors in
     [0, 1) each result lies on the closed segment between its two points.
+    The result goes into a new array, or into ``out`` (which may be
+    ``x_i``), which is returned; the only temporary is one of ``x_i``'s
+    size.
     """
     x_i = np.asarray(x_i, dtype=np.float64)
     x_zi = np.asarray(x_zi, dtype=np.float64)
@@ -181,7 +186,9 @@ def synthesize(
         raise ValueError(f"lambda_interp shape {lam.shape} vs rows {x_i.shape[:-1]}")
     if not ((lam >= 0.0) & (lam < 1.0)).all():
         raise ValueError("lambda_interp must be in [0, 1)")
-    return x_i + lam[..., None] * (x_zi - x_i)
+    step = np.subtract(x_zi, x_i)
+    step *= lam[..., None]
+    return np.add(x_i, step, out=out)
 
 
 def synthetic_count(labels: np.ndarray, cfg: SmoteConfig) -> int:
@@ -204,9 +211,12 @@ def oversample(
     through the minority rows in dataset order; for each visit one of the
     parent's k nearest neighbors and then one interpolation factor are
     drawn from a single seeded RNG stream, so a fixed seed reproduces the
-    synthetic rows bitwise. They are built by :func:`synthesize`'s
-    arithmetic, in place in the balanced matrix, beside one temporary of
-    the synthetic rows' size.
+    synthetic rows bitwise. :func:`synthesize` writes them into the
+    balanced matrix one block of rows at a time (``_BLOCK_CELLS`` cells,
+    256 KB), so beside that matrix oversampling holds three blocks (the
+    gathered parents and neighbors and one temporary) and a few numbers
+    per synthetic row, not arrays of the synthetic rows' size; the k-NN
+    search before it holds the minority rows twice and its own blocks.
 
     The balanced matrix is the room the split left after ``ds.features``
     (``train_test_split(..., room=...)``) when it holds the
@@ -250,13 +260,15 @@ def oversample(
     else:
         features = np.empty((rows, ds.n_features))
         features[: ds.n_rows] = ds.features
-    # synthesize's arithmetic, written into the tail of the balanced matrix
-    synth = features[ds.n_rows :]
-    synth[...] = ds.features[parent_index]
-    step = ds.features[neighbor_index]
-    step -= synth
-    step *= lam[:, None]
-    synth += step
+    block = max(1, _BLOCK_CELLS // max(ds.n_features, 1))
+    for start in range(0, n_new, block):
+        stop = min(start + block, n_new)
+        synthesize(
+            ds.features[parent_index[start:stop]],
+            ds.features[neighbor_index[start:stop]],
+            lam[start:stop],
+            out=features[ds.n_rows + start : ds.n_rows + stop],
+        )
 
     labels = np.concatenate([ds.labels, np.full(n_new, minority_label, dtype=np.int64)])
     balanced = FlowDataset(ds.feature_names, features, labels)

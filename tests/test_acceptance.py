@@ -8,7 +8,6 @@ and runtime budget.
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,49 +80,47 @@ def test_criterion_2_smote_geometry():
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(77))
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # tiny minorities clamp k
-        for _ in range(500):
-            n_min = int(rng.integers(2, 12))
-            n_maj = int(rng.integers(n_min + 1, 40))
-            d = int(rng.integers(1, 6))
-            X = rng.standard_normal((n_min + n_maj, d)) * 10
-            y = np.concatenate(
-                [np.ones(n_min, dtype=np.int64), np.zeros(n_maj, dtype=np.int64)]
-            )
-            order = rng.permutation(n_min + n_maj)
-            ds = FlowDataset(
-                feature_names=tuple(f"c{i}" for i in range(d)),
-                features=X[order],
-                labels=y[order],
-            )
-            balanced, prov = oversample(ds, SmoteConfig(seed=int(rng.integers(1 << 30))))
+    for _ in range(500):
+        n_min = int(rng.integers(2, 12))
+        n_maj = int(rng.integers(n_min + 1, 40))
+        d = int(rng.integers(1, 6))
+        X = rng.standard_normal((n_min + n_maj, d)) * 10
+        y = np.concatenate(
+            [np.ones(n_min, dtype=np.int64), np.zeros(n_maj, dtype=np.int64)]
+        )
+        order = rng.permutation(n_min + n_maj)
+        ds = FlowDataset(
+            feature_names=tuple(f"c{i}" for i in range(d)),
+            features=X[order],
+            labels=y[order],
+        )
+        balanced, prov = oversample(ds, SmoteConfig(seed=int(rng.integers(1 << 30))))
 
-            # exact post-balance counts
-            assert int((balanced.labels == 1).sum()) == n_maj
-            assert int((balanced.labels == 0).sum()) == n_maj
-            assert balanced.n_rows - ds.n_rows == n_maj - n_min
-            assert [a.shape for a in prov] == [(n_maj - n_min,)] * 3
+        # exact post-balance counts
+        assert int((balanced.labels == 1).sum()) == n_maj
+        assert int((balanced.labels == 0).sum()) == n_maj
+        assert balanced.n_rows - ds.n_rows == n_maj - n_min
+        assert [a.shape for a in prov] == [(n_maj - n_min,)] * 3
 
-            minority_rows = ds.features[ds.labels == 1]
-            for s, (p, nb, lam) in enumerate(zip(*prov)):
-                row = balanced.features[ds.n_rows + s]  # the row training sees
-                parent = ds.features[p]
-                neighbor = ds.features[nb]
-                assert ds.labels[p] == 1
-                assert ds.labels[nb] == 1
-                # brute-force neighbor validity: within the k nearest
-                # minority distances from the parent (excluding itself)
-                d2 = np.sum((minority_rows - parent) ** 2, axis=1)
-                d2 = np.sort(d2)[1:]  # drop the parent's own zero
-                k_eff = min(5, n_min - 1)
-                d2_rec = float(np.sum((neighbor - parent) ** 2))
-                assert d2_rec <= d2[k_eff - 1] + 1e-12
-                # segment membership, coordinate by coordinate
-                expected = parent + lam * (neighbor - parent)
-                assert np.abs(row - expected).max() < 1e-9
-                assert 0.0 <= lam < 1.0
-                checked += 1
+        minority_rows = ds.features[ds.labels == 1]
+        for s, (p, nb, lam) in enumerate(zip(*prov)):
+            row = balanced.features[ds.n_rows + s]  # the row training sees
+            parent = ds.features[p]
+            neighbor = ds.features[nb]
+            assert ds.labels[p] == 1
+            assert ds.labels[nb] == 1
+            # brute-force neighbor validity: within the k nearest
+            # minority distances from the parent (excluding itself)
+            d2 = np.sum((minority_rows - parent) ** 2, axis=1)
+            d2 = np.sort(d2)[1:]  # drop the parent's own zero
+            k_eff = min(5, n_min - 1)
+            d2_rec = float(np.sum((neighbor - parent) ** 2))
+            assert d2_rec <= d2[k_eff - 1] + 1e-12
+            # segment membership, coordinate by coordinate
+            expected = parent + lam * (neighbor - parent)
+            assert np.abs(row - expected).max() < 1e-9
+            assert 0.0 <= lam < 1.0
+            checked += 1
     elapsed = time.perf_counter() - t0
     report(2, elapsed < 60.0, f"{checked} synthetic rows verified, {elapsed:.1f}s")
 

@@ -118,6 +118,18 @@ def test_train_produces_model_and_reports(tmp_path, capsys):
     assert len(report_lines) == 1 + 16  # 8 epochs per phase
 
 
+def test_train_clamps_smote_k_without_a_warning(tmp_path, capsys):
+    """66 rows with 6 attacks, stratified: the training split holds 5 attack
+    rows, so SMOTE's k=5 is clamped to 4. The clamp is a reported run fact,
+    not a warning, which pytest (as CI's entry-point step) would raise."""
+    data = make_data(tmp_path, majority=60, minority=6)
+    cfg = write_fast_config(tmp_path, split={"stratify": True})
+    rc, outdir = run_train(tmp_path, data, config=cfg)
+    assert rc == 0
+    assert (outdir / "model.txt").exists()
+    assert "smote k=4 (5 requested, 5 minority rows)" in capsys.readouterr().out
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     data = make_data(tmp_path)
     cfg = write_fast_config(tmp_path)

@@ -825,6 +825,43 @@ def test_fit_scaler_names_the_columns_it_overflows():
         fit_scaler(ds)
 
 
+def test_fit_scaler_has_numpys_bits_one_block_at_a_time():
+    """fit_scaler sums the std one block of rows at a time and keeps the bits
+    of features.std(axis=0) (and of mean(axis=0)): from one block to one
+    block per row, with a ragged last block, one row, one column, constant
+    columns and columns at 1e8 offsets."""
+    cells = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300, 7.25])
+
+    @st.composite
+    def matrices(draw):
+        n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+        X = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+        X *= np.array(draw(st.lists(st.sampled_from([1.0, 1e-6, 1e5]), min_size=d, max_size=d)))
+        X += np.array(draw(st.lists(st.sampled_from([0.0, 1e8, -1e8, 3.3e8]), min_size=d, max_size=d)))
+        for j in draw(st.sets(st.integers(0, d - 1))):
+            X[:, j] = X[0, j]  # no variance
+        return X
+
+    def same_bits(X):
+        s = fit_scaler(_ds(X, np.zeros(X.shape[0])))
+        assert s.means.tobytes() == X.mean(axis=0).tobytes()
+        assert s.stds.tobytes() == X.std(axis=0).tobytes()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(X=matrices(), block_cells=st.integers(1, 64))
+    def check(X, block_cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow_data, "_ROW_BLOCK_CELLS", block_cells)
+            same_bits(X)
+
+    check()
+    # at the default block size: a CICIDS-wide matrix of three blocks, the
+    # last ragged, and one long column, which NumPy sums pairwise
+    rng = np.random.Generator(np.random.PCG64(11))
+    same_bits(rng.normal(size=(2000, 78)) * rng.uniform(0, 1e6, 78) + rng.choice([0, 1e8], 78))
+    same_bits(rng.normal(size=(2359, 1)) * 1e3 + 1e8)
+
+
 def test_exact_standard_normal_column_is_identity():
     ds = _ds([[-1.0], [1.0]], [0, 1])  # mean 0, population std exactly 1
     s = fit_scaler(ds)

@@ -1,6 +1,7 @@
 """Memory budgets: how many copies of a capture's feature matrix reading,
-scaling and scoring hold at their peak, what oversampling holds beside
-the matrix it returns, and what ``train`` holds, as traced by tracemalloc.
+scaling and scoring hold at their peak, what fitting the scaler and
+oversampling hold beside what they return, and what ``train`` holds, as
+traced by tracemalloc.
 
 NumPy reports its array buffers to tracemalloc, so a traced peak counts
 every matrix, temporary and block buffer alive at once.
@@ -12,12 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ddosflow import flow_data, smote
 from ddosflow.cli import main
 from ddosflow.config import load_config
 from ddosflow.flow_data import (
     FlowDataset,
     ScalerParams,
     clean,
+    fit_scaler,
     load_feature_matrix,
     load_flow_csv,
     train_test_split,
@@ -124,15 +127,30 @@ def test_scaling_makes_only_its_result():
     assert peak <= 1.1 * X.nbytes
 
 
-def test_oversampling_holds_the_balanced_matrix_and_one_temporary():
+def test_fitting_the_scaler_holds_one_block():
+    """The std is summed one block of rows at a time, so the fit peaks at
+    about one block's buffer, not a temporary of the training rows' size."""
+    X = np.random.Generator(np.random.PCG64(4)).normal(size=(N_ROWS, N_FEATURES))
+    ds = FlowDataset(tuple(NAMES), X, np.zeros(N_ROWS, dtype=np.int64))
+    peak, _ = _traced_peak(lambda: fit_scaler(ds))
+    assert X.nbytes > 4 * flow_data._ROW_BLOCK_CELLS * 8
+    assert peak <= 1.25 * flow_data._ROW_BLOCK_CELLS * 8
+
+
+def test_oversampling_holds_the_balanced_matrix_and_a_few_blocks():
+    """The synthetic rows are written into the balanced matrix one block at
+    a time: beside it oversampling holds a few blocks and a few numbers per
+    synthetic row (indices, factors, labels), not a temporary of the
+    synthetic rows' size. A tenth of the rows are attacks, so the synthetic
+    rows are many blocks."""
     rng = np.random.Generator(np.random.PCG64(5))
-    labels = (rng.random(N_ROWS) < 0.3).astype(np.int64)
+    labels = (rng.random(N_ROWS) < 0.1).astype(np.int64)
     ds = FlowDataset(tuple(NAMES), rng.normal(size=(N_ROWS, N_FEATURES)), labels)
     peak, (balanced, _) = _traced_peak(lambda: oversample(ds, SmoteConfig()))
-    synthetic_bytes = balanced.features.nbytes - ds.features.nbytes
-    assert synthetic_bytes > MATRIX_BYTES / 3
-    # the synthetic rows are built in place, beside one temporary of their size
-    assert peak <= 1.1 * (balanced.features.nbytes + synthetic_bytes)
+    n_new = balanced.n_rows - ds.n_rows
+    block = smote._BLOCK_CELLS * 8
+    assert n_new * N_FEATURES * 8 > 8 * block
+    assert peak <= balanced.features.nbytes + 4 * block + 8 * 8 * n_new
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

@@ -73,11 +73,13 @@ def test_duplicate_points_are_mutual_neighbors():
     assert nbrs[:, 0].tolist() == [1, 0]
 
 
-def test_k_clamped_with_warning():
+def test_k_clamped_silently_to_the_other_rows():
+    """A k above rows - 1 gives every other row, as k = rows - 1 does, with
+    no warning (pytest fails on any)."""
     X = np.array([[0.0], [1.0], [2.0]])
-    with pytest.warns(RuntimeWarning, match="clamping k to 2"):
-        nbrs = minority_neighbors(X, 5)
+    nbrs = minority_neighbors(X, 5)
     assert nbrs.shape == (3, 2)
+    np.testing.assert_array_equal(nbrs, minority_neighbors(X, 2))
 
 
 def test_too_few_minority_rows():
@@ -256,7 +258,6 @@ def test_oversample_balanced_input_is_noop():
     np.testing.assert_array_equal(out.labels, ds.labels)
 
 
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_oversample_preserves_originals_verbatim_first():
     rng = np.random.Generator(np.random.PCG64(3))
     ds = _ds(rng.normal(size=(30, 4)), [0] * 25 + [1] * 5)
@@ -329,7 +330,6 @@ def test_oversample_minority_may_be_class_zero():
     assert all(out.labels[50 + i] == 0 for i in range(len(prov.parent_index)))
 
 
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_oversample_target_ratio():
     rng = np.random.Generator(np.random.PCG64(7))
     ds = _ds(rng.normal(size=(45, 2)), [0] * 41 + [1] * 4)
@@ -359,7 +359,6 @@ def test_synthetic_rows_match_recorded_parents_exactly():
         assert 0.0 <= lam < 1.0
 
 
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_synthetic_rows_pass_segment_membership_oracle():
     rng = np.random.Generator(np.random.PCG64(10))
     for trial in range(10):
@@ -380,7 +379,6 @@ def test_synthetic_rows_pass_segment_membership_oracle():
             assert any(hits)
 
 
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_parent_cycling_covers_all_minority_rows():
     rng = np.random.Generator(np.random.PCG64(11))
     ds = _ds(rng.normal(size=(28, 2)), [0] * 24 + [1] * 4)
@@ -424,7 +422,6 @@ def _reference_oversample(ds, cfg):
     return features, labels, (parents, nbrs, lams)
 
 
-@pytest.mark.filterwarnings("ignore:requested k=:RuntimeWarning")
 def test_oversample_matches_per_row_reference():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
