@@ -59,7 +59,7 @@ from .nn import (
     load_model,
     save_model,
 )
-from .smote import oversample, synthetic_count
+from .smote import neighbor_count, oversample, synthetic_count
 from .synth import SyntheticSpec, write_synthetic_csv
 from .trainer import (
     classify,
@@ -298,9 +298,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"({balanced.n_rows - train_ds.n_rows} synthetic); test {test_ds.n_rows} rows"
     )
     if balanced.n_rows > train_ds.n_rows:
-        # minority_neighbors clamps k to the other minority rows
         n_min = int(train_counts.min())
-        k = min(cfg.smote.k, n_min - 1)
+        k = neighbor_count(cfg.smote.k, n_min)
         print(f"smote k={k} ({cfg.smote.k} requested, {n_min} minority rows)")
 
     with _stage("train"):

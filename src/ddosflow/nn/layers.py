@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "Workspace",
-    "end_to_end",
     "AffineParams",
     "BatchNormParams",
     "AttentionParams",
@@ -41,8 +40,6 @@ __all__ = [
     "attention_backward",
     "residual_block_forward",
     "residual_block_backward",
-    "rotating_workspace",
-    "bind_backward_buffers",
 ]
 
 
@@ -55,32 +52,27 @@ class Workspace:
     use and again only when a call needs more rows or other columns, so
     batches of at most the first batch's size reuse it. ``bind`` makes an
     existing array such a buffer, so that layers write where the caller
-    chooses. ``uncached`` holds, per model, the workspace of its passes
-    that keep no backward cache (:func:`rotating_workspace`) and the rows
-    it was made for; ``backward_rows`` holds, per model, the rows for which
-    its backward temporaries are bound to shared buffers
-    (:func:`bind_backward_buffers`) and the scratch vector they view.
+    chooses.
 
-    The temporaries that live only inside one call share one flat vector,
-    ``scratch`` (:meth:`scratch_views`): the five of a backward pass, the
-    three activations of a pass without a cache and Adagrad's step and
-    denominator (:func:`~ddosflow.nn.optim.adagrad_step`). Each of those
-    calls writes them before it reads them and leaves nothing in them that
-    a later call reads, and no two of the calls run at once, so they all
-    start at the front of the vector. The vector grows only when a call
-    needs more of it; a plan laid out on a smaller one is laid out again
-    at its next use. So what a pass without a cache returns (its logits)
-    is the caller's only until the workspace's next backward pass, Adagrad
-    step or pass without a cache, any of which may overwrite it.
+    A caller's workspace holds the batch, the cached activations, the
+    gradient arena and one scratch vector. The large temporaries of a call
+    are views of the front of ``scratch`` (:meth:`scratch_views`), since
+    no two such calls run at once: Adagrad's step and denominator, and the
+    buffers of each plan in ``plans``, a workspace of its own on the
+    scratch vector, keyed by ``(model, backward)`` beside the rows it was
+    laid out for (a pass without a cache runs on three rotating
+    activations, a backward pass on five temporaries and its views of the
+    arena). Growing ``scratch`` drops every plan. So the logits of a pass
+    without a cache are the caller's only until the workspace's next
+    backward pass, Adagrad step or pass without a cache.
 
     The gradients of one model, ``arena_key``, share one flat vector,
     ``arena``, end to end in :func:`~ddosflow.nn.model.named_parameters`
     order. ``gradients`` maps each tensor's name to its view of the arena,
-    and each view is the buffer that its layer's backward pass writes (a
-    layer keeps the gradient of its field ``f`` under the role ``"d" + f``).
-    The backward pass returns ``gradients`` itself, and Adagrad, handed
-    that dict, updates every tensor with whole-vector operations on the
-    arena. No gradient from outside is ever written into the arena.
+    the buffer its layer's backward pass writes (a layer keeps the
+    gradient of its field ``f`` under the role ``"d" + f``). Adagrad,
+    handed that dict, updates every tensor with whole-vector operations
+    on the arena.
     """
 
     def __init__(self) -> None:
@@ -89,8 +81,7 @@ class Workspace:
         self.arena = np.empty(0)
         self.arena_key: object = None
         self.gradients: dict[str, np.ndarray] = {}
-        self.uncached: dict[object, tuple[int, Workspace]] = {}
-        self.backward_rows: dict[object, tuple[int, np.ndarray]] = {}
+        self.plans: dict[tuple[object, bool], tuple[int, Workspace]] = {}
 
     def get(self, owner: object, role: str, rows: int, *cols: int) -> np.ndarray:
         key = (owner, role)
@@ -105,10 +96,12 @@ class Workspace:
     def scratch_views(self, *sizes: int) -> list[np.ndarray]:
         """Consecutive flat views of ``scratch``, one of each size, each
         starting on a 64-byte boundary. ``scratch`` is first replaced by a
-        vector large enough for them when it is not."""
+        vector large enough for them when it is not, and every plan laid
+        out on the old one is dropped."""
         padded = [-(-size // 8) * 8 for size in sizes]  # 8 floats: 64 bytes
         total = sum(padded)
         if self.scratch.size < total:
+            self.plans.clear()
             raw = np.empty(total + 7)
             start = -raw.ctypes.data % 64 // raw.itemsize
             self.scratch = raw[start : start + total]
@@ -119,7 +112,7 @@ class Workspace:
         return views
 
 
-def end_to_end(
+def _end_to_end(
     shapes: dict[str, tuple[int, ...]],
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """One flat vector of zeros and, per name, its view of the given shape,
@@ -418,23 +411,22 @@ def residual_block_backward(
 
 
 def _bind_shared(
-    ws: Workspace, rows: int, plan: list[tuple[int, object, str, int]], lender: Workspace
+    rows: int, plan: list[tuple[int, object, str, int]], outer: Workspace
 ) -> Workspace:
-    """Bind each ``(k, owner, role, cols)`` of ``plan`` (none where
-    ``owner`` is None) in ``ws`` as a ``rows`` by ``cols`` view of the k-th
-    of a few consecutive buffers of ``lender``'s scratch vector
-    (:meth:`Workspace.scratch_views`), which ``ws`` then names as its own
-    ``scratch``: the vector its plan was laid out on."""
+    """A new workspace in which each ``(k, owner, role, cols)`` of ``plan``
+    (none where ``owner`` is None) is bound as a ``rows`` by ``cols`` view
+    of the k-th of a few consecutive buffers of ``outer``'s scratch vector
+    (:meth:`Workspace.scratch_views`)."""
     width = max(cols for _, owner, _, cols in plan if owner is not None)
-    flats = lender.scratch_views(*[rows * width] * (1 + max(k for k, *_ in plan)))
+    flats = outer.scratch_views(*[rows * width] * (1 + max(k for k, *_ in plan)))
+    ws = Workspace()
     for k, owner, role, cols in plan:
         if owner is not None:
             ws.bind(owner, role, flats[k][: rows * cols].reshape(rows, cols))
-    ws.scratch = lender.scratch
     return ws
 
 
-def rotating_workspace(
+def _rotating_workspace(
     first: AffineParams, blocks: list[ResidualBlockParams], rows: int, outer: Workspace
 ) -> Workspace:
     """A workspace for passes of up to ``rows`` rows through ``first`` and
@@ -450,10 +442,6 @@ def rotating_workspace(
     third buffer; the projection shortcut goes into ``a`` once ``affine2``
     has read it. The block's output and its attention stay in ``b``, the
     next block's input, and the attention scores take ``a``.
-
-    The three buffers are dead once the pass has returned its logits, so
-    ``outer``'s backward passes and Adagrad steps reuse the same memory
-    (:class:`Workspace`).
     """
     plan = [(0, first, "out", first.W.shape[0])]
     h = 0
@@ -467,16 +455,16 @@ def rotating_workspace(
             (a, block.attention, "A", w), (b, block.attention, "out", w),
         ]
         h = b
-    return _bind_shared(Workspace(), rows, plan, outer)
+    return _bind_shared(rows, plan, outer)
 
 
-def bind_backward_buffers(
-    ws: Workspace, last: AffineParams, blocks: list[ResidualBlockParams], rows: int
+def _backward_workspace(
+    last: AffineParams, blocks: list[ResidualBlockParams], rows: int, outer: Workspace
 ) -> Workspace:
-    """Bind ``ws``'s buffers for backward passes of up to ``rows`` rows from
-    ``last`` back through ``blocks`` (with their attention) to five
-    buffers at the front of ``ws``'s scratch vector, so that every block's
-    temporaries reuse the same ones.
+    """A workspace for backward passes of up to ``rows`` rows from ``last``
+    back through ``blocks`` (with their attention), whose temporaries are
+    views of five buffers at the front of ``outer``'s scratch vector, so
+    that every block reuses the same ones.
 
     ``G`` holds the gradient that flows between layers: ``last``'s input
     gradient, each attention's (computed in place) and each block's. In a
@@ -484,11 +472,6 @@ def bind_backward_buffers(
     shortcut, ``T1`` and ``T2`` take the stages in turn, and ``S`` is each
     batch norm's scratch; the block's input gradient goes into ``G``,
     whose incoming gradient the output ReLU has read.
-
-    The parameter gradients go into the arena, not these buffers, so the
-    five are dead once the pass returns, and the Adagrad step and the
-    passes without a cache that follow on ``ws`` reuse the same memory
-    (:class:`Workspace`).
     """
     G, P, T1, T2, S = range(5)
     plan = [(G, last, "dx", last.W.shape[1])]
@@ -502,4 +485,4 @@ def bind_backward_buffers(
             (T2, block.bn1, "dx", w), (S, block.bn1, "scratch", w),
             (G, block.affine1, "dx", w_in), (T1, block.projection, "dx", w_in),
         ]
-    return _bind_shared(ws, rows, plan, ws)
+    return _bind_shared(rows, plan, outer)

@@ -31,9 +31,9 @@ from .layers import (
     attention_backward,
     residual_block_forward,
     residual_block_backward,
-    rotating_workspace,
-    bind_backward_buffers,
-    end_to_end,
+    _backward_workspace,
+    _end_to_end,
+    _rotating_workspace,
 )
 from .losses import LossSpec, apply_loss
 
@@ -199,17 +199,31 @@ def named_state(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     return [(name, tensor) for name, tensor, _, _ in _tensors(model, state=True)]
 
 
-def _uncached_workspace(model: ModelParams, ws: Workspace, rows: int) -> Workspace:
-    """The workspace of ``ws`` for passes of ``model`` that keep no cache,
-    made once per model and workspace and again when a pass needs more
-    rows or ``ws``'s scratch vector has grown since it was laid out (see
-    :func:`~ddosflow.nn.layers.rotating_workspace`)."""
-    capacity, inner = ws.uncached.get(model, (0, None))
-    if inner is None or capacity < rows or inner.scratch is not ws.scratch:
+def _plan(model: ModelParams, ws: Workspace, rows: int, backward: bool) -> Workspace:
+    """The workspace on ``ws``'s scratch vector for ``model``'s backward
+    passes, or with ``backward`` False its passes that keep no cache
+    (:attr:`Workspace.plans`), laid out again when a pass needs more rows
+    or when ``ws``'s scratch vector has grown and dropped it. A backward
+    plan also binds each tensor's view of ``ws``'s gradient arena as the
+    buffer that its layer's backward pass writes; the arena is laid out
+    once per model and workspace."""
+    if backward and ws.arena_key is not model:
+        ws.plans.pop((model, True), None)
+    capacity, plan = ws.plans.get((model, backward), (0, None))
+    if plan is None or capacity < rows:
         capacity = max(capacity, rows)
-        inner = rotating_workspace(model.input_affine, model.blocks, capacity, ws)
-        ws.uncached[model] = (capacity, inner)
-    return inner
+        if not backward:
+            plan = _rotating_workspace(model.input_affine, model.blocks, capacity, ws)
+        else:
+            plan = _backward_workspace(model.output_affine, model.blocks, capacity, ws)
+            tensors = _tensors(model, state=False)
+            if ws.arena_key is not model:
+                ws.arena, ws.gradients = _end_to_end({name: t.shape for name, t, _, _ in tensors})
+                ws.arena_key = model
+            for name, _, owner, attr in tensors:
+                plan.bind(owner, "d" + attr, ws.gradients[name])
+        ws.plans[model, backward] = (capacity, plan)
+    return plan
 
 
 def model_forward(
@@ -231,11 +245,9 @@ def model_forward(
     a caller's workspace they are views that its next pass over this model
     overwrites (and, without a cache, its next backward pass or Adagrad
     step may, see :class:`~ddosflow.nn.layers.Workspace`); without one
-    they belong to a fresh workspace, so the caller owns them. A pass with
-    a cache keeps every layer's output; a pass without one runs the same
-    layer functions on three rotating activation buffers, so a large batch
-    holds about three activations at once (see
-    :func:`~ddosflow.nn.layers.rotating_workspace`).
+    they belong to a fresh workspace, so the caller owns them. A pass
+    without a cache runs the same layer functions on three rotating
+    activation buffers, so a large batch holds about three activations.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -244,7 +256,7 @@ def model_forward(
         )
     ws = Workspace() if ws is None else ws
     if not want_cache:
-        ws = _uncached_workspace(model, ws, X.shape[0])
+        ws = _plan(model, ws, X.shape[0], backward=False)
     steps = []
     h = affine_forward(model.input_affine, X, ws)
     for block in model.blocks:
@@ -256,26 +268,6 @@ def model_forward(
             steps.append((block_cache, attn_cache))
     logits = affine_forward(model.output_affine, h, ws)[:, 0]
     return logits, ((X, steps, h) if want_cache else None)
-
-
-def _backward_buffers(model: ModelParams, ws: Workspace, rows: int) -> None:
-    """Lay out ``ws``'s gradient arena for ``model``, once per model and
-    workspace: tensor ``<path>.<field>`` gets the arena view bound as the
-    ``d<field>`` buffer of the layer at ``<path>``, so the backward passes
-    write into the arena. The passes' temporaries are bound to views of
-    the scratch vector (:func:`~ddosflow.nn.layers.bind_backward_buffers`),
-    again when a pass needs more rows or the vector has grown since."""
-    if ws.arena_key is not model:
-        tensors = _tensors(model, state=False)
-        ws.arena, ws.gradients = end_to_end({name: t.shape for name, t, _, _ in tensors})
-        ws.arena_key = model
-        for name, _, owner, attr in tensors:
-            ws.bind(owner, "d" + attr, ws.gradients[name])
-    capacity, scratch = ws.backward_rows.get(model, (0, None))
-    if capacity < rows or scratch is not ws.scratch:
-        capacity = max(capacity, rows)
-        bind_backward_buffers(ws, model.output_affine, model.blocks, capacity)
-        ws.backward_rows[model] = (capacity, ws.scratch)
 
 
 def model_backward(
@@ -291,22 +283,22 @@ def model_backward(
     dict, ``ws.gradients``, keyed exactly like :func:`named_parameters`, in
     its order. No input gradient is computed for the input layer.
 
-    Each layer writes its gradients into its views of the workspace's
-    gradient arena (:class:`Workspace`): with a caller's workspace its next
-    backward pass overwrites them; without one they belong to a fresh
-    workspace, so the caller owns them.
+    The gradients are views of the workspace's gradient arena
+    (:class:`Workspace`): with a caller's workspace its next backward pass
+    overwrites them; without one they belong to a fresh workspace, so the
+    caller owns them.
     """
     if cache is None:
         raise ValueError("model_backward requires the forward cache")
     ws = Workspace() if ws is None else ws
-    _backward_buffers(model, ws, dlogits.shape[0])
+    plan = _plan(model, ws, dlogits.shape[0], backward=True)
     X, steps, h_last = cache
-    dh, *_ = affine_backward(model.output_affine, h_last, dlogits.reshape(-1, 1), ws)
+    dh, *_ = affine_backward(model.output_affine, h_last, dlogits.reshape(-1, 1), plan)
     for block, (block_cache, attn_cache) in zip(model.blocks[::-1], steps[::-1]):
         if block.attention is not None:
-            dh, *_ = attention_backward(block.attention, attn_cache, dh, ws)
-        dh, _ = residual_block_backward(block, block_cache, dh, ws)
-    affine_param_backward(model.input_affine, X, dh, ws)
+            dh, *_ = attention_backward(block.attention, attn_cache, dh, plan)
+        dh, _ = residual_block_backward(block, block_cache, dh, plan)
+    affine_param_backward(model.input_affine, X, dh, plan)
     return ws.gradients
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Workspace, end_to_end
+from .layers import Workspace, _end_to_end
 from .model import ModelParams, named_parameters
 
 __all__ = ["OptimizerState", "init_optimizer", "adagrad_step"]
@@ -36,7 +36,7 @@ def init_optimizer(
         raise ValueError(f"eta must be positive, got {eta}")
     if eps_opt < 0.0:
         raise ValueError(f"eps_opt must be non-negative, got {eps_opt}")
-    G, accum = end_to_end({name: tensor.shape for name, tensor in named_parameters(model)})
+    G, accum = _end_to_end({name: tensor.shape for name, tensor in named_parameters(model)})
     return OptimizerState(eta=eta, eps_opt=eps_opt, G=G, accum=accum)
 
 

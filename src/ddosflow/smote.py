@@ -23,6 +23,7 @@ from .flow_data import FlowDataset, _round_half_up, _WithRoom
 __all__ = [
     "SmoteConfig",
     "SmoteProvenance",
+    "neighbor_count",
     "minority_neighbors",
     "synthesize",
     "synthetic_count",
@@ -73,6 +74,12 @@ class SmoteProvenance(NamedTuple):
 _BLOCK_CELLS = 1 << 15
 
 
+def neighbor_count(k: int, n_min: int) -> int:
+    """The neighbor count :func:`minority_neighbors` uses for a requested
+    ``k`` on ``n_min`` minority rows: ``k``, clamped to the other rows."""
+    return min(k, n_min - 1)
+
+
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows.
 
@@ -104,7 +111,7 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     n = X_min.shape[0]
     if n < 2:
         raise DataError("SMOTE requires >=2 minority samples")
-    k = min(k, n - 1)
+    k = neighbor_count(k, n)
 
     d = X_min.shape[1]
     # Rounding bound of the Gram distance G against the explicit one E.

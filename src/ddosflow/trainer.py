@@ -176,12 +176,7 @@ def _run_epochs(
 
     One workspace serves every step and accuracy pass of the phase, so
     after the first epoch a step allocates no batch, activation or
-    gradient arrays. Each step's backward pass, its Adagrad update and
-    each epoch's accuracy pass take their temporaries from the front of
-    the workspace's one scratch vector: they run one after another, and
-    none reads what an earlier one left there (the gradients are in the
-    arena, the batch and the cached activations in buffers of their
-    own)."""
+    gradient arrays."""
     if dataset.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
     if rng is None:
@@ -291,12 +286,8 @@ def run_dual_phase(
 
     One shuffle generator is threaded through both phases; the Adagrad
     accumulator restarts at the phase boundary unless configured not to.
-    One workspace serves the whole run: phase 2 reuses phase 1's batch,
-    activation and gradient buffers, and the anchors and every accuracy
-    pass score through the same rotating buffers, all of which, with the
-    backward temporaries and Adagrad's, share one scratch vector (see
-    :func:`_run_epochs`). The phases and the anchors run one after another,
-    so no two of them use a buffer at once.
+    One workspace serves the whole run: phase 2 and the anchors reuse
+    phase 1's buffers, since no two of them run at once.
     Returns the trained model, the merged report, and the anchor vector.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

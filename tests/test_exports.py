@@ -1,6 +1,8 @@
-"""Every name a package or module exports through ``__all__`` exists, and
-the packages export exactly the names the README's API section lists."""
+"""Every name a package or module exports through ``__all__`` exists, the
+packages export exactly the names the README's API section lists, and the
+package imports itself only by relative imports."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -74,3 +76,26 @@ def test_load_model_runs_with_only_the_nn_package_imported(tmp_path):
 @pytest.mark.parametrize("package", [ddosflow, ddosflow.nn], ids=lambda p: p.__name__)
 def test_package_exports_match_readme(package):
     assert package.__all__ == _readme_api()[package.__name__]
+
+
+def test_package_imports_itself_only_relatively():
+    """A copy of ``src/ddosflow`` loaded under another package name (two
+    trees side by side in one process) must not reach back into whichever
+    ``ddosflow`` is installed, so no module names it absolutely."""
+    root = pathlib.Path(ddosflow.__file__).resolve().parent
+    absolute = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            absolute += [
+                f"{path.relative_to(root)}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] == "ddosflow"
+            ]
+    assert len(list(root.rglob("*.py"))) > 10
+    assert absolute == []

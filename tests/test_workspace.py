@@ -4,6 +4,7 @@ hands out a buffer that is still in use, and a caller without one owns
 what it gets back."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -416,6 +417,24 @@ def test_anchors_on_a_training_workspace_match_a_fresh_one(arch, monkeypatch):
     trainer.train_phase1(model, train_set, TrainConfig(epochs_phase1=2, batch_size=32), ws=ws)
     grown = trainer.compute_anchors(model, balanced, ws)
     assert_same_bits([grown], [trainer.compute_anchors(model, balanced)])
+
+
+def test_a_grown_scratch_vector_is_freed_at_once(monkeypatch):
+    """A scoring chunk longer than the training batch grows the workspace's
+    scratch vector, and the vector it replaces is freed within the call: no
+    plan laid out on it keeps it alive until that plan's next use."""
+    model = init_model(5, WIRINGS[0])
+    rng = np.random.Generator(np.random.PCG64(18))
+    X, y = rows(rng, 32, 5), rng.integers(0, 2, 32).astype(float)
+    ws = Workspace()
+    _, grads = model_loss(model, X, y, LossSpec(kind="bce"), ws=ws)
+    adagrad_step(init_optimizer(model), dict(named_parameters(model)), grads, ws)
+    assert ws.scratch.size == 5 * 32 * 8  # the backward pass's five temporaries
+    old = weakref.ref(ws.scratch.base)
+    monkeypatch.setattr(trainer, "SCORE_CHUNK", 64)
+    predict_proba(model, rows(rng, 252, 5), ws=ws)  # chunks of 64, 64 and 124 rows
+    assert ws.scratch.size == 3 * 124 * 8  # the rotating activations
+    assert old() is None
 
 
 def test_large_uncached_pass_holds_a_few_activations():
