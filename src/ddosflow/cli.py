@@ -19,16 +19,11 @@ import sys
 
 import numpy as np
 
-# The commands call these by name; perfbench/layers.py replaces them to time each:
-# load_flow_csv clean train_test_split fit_scaler load_feature_matrix
-# oversample init_model run_dual_phase predict_proba save_model load_model
-# write_train_report_csv build_report format_report_table format_report_kv.
-# apply_scaler is imported for it too, though no command calls it: evaluate
-# and predict scale inside the capture's matrix (flow_data._scorable_in_place).
+# perfbench/layers.py times each call by replacing the name a command looks it
+# up by (tests/test_exports.py checks that every such name is here); it also
+# replaces apply_scaler and predict_proba, though no command calls them.
 from .config import (
-    DataConfig,
     PipelineConfig,
-    _coerce,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -39,10 +34,9 @@ from .config import (
 from .errors import ConfigError, DataError
 from .flow_data import (
     FlowDataset,
-    ScalerParams,
     _finite_means,
     _scorable_in_place,
-    apply_scaler,
+    apply_scaler,  # noqa: F401
     clean,
     fit_scaler,
     load_feature_matrix,
@@ -50,20 +44,13 @@ from .flow_data import (
     train_test_split,
 )
 from .metrics import build_report, format_report_kv, format_report_table
-from .nn import (
-    ArchitectureConfig,
-    LossSpec,
-    ModelParams,
-    gradient_check,
-    init_model,
-    load_model,
-    save_model,
-)
+from .nn import ArchitectureConfig, LossSpec, gradient_check, init_model, load_model, save_model
 from .smote import neighbor_count, oversample, synthetic_count
 from .synth import SyntheticSpec, write_synthetic_csv
 from .trainer import (
+    Detector,
     classify,
-    predict_proba,
+    predict_proba,  # noqa: F401
     run_dual_phase,
     write_train_report_csv,
 )
@@ -100,7 +87,7 @@ _OVERRIDES = {"threshold": "train", "tolerance": "gradcheck"}
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """The ``--config`` file (or the defaults) with ``--seed`` and the
     ``_OVERRIDES`` applied; an override is checked as a config file value is."""
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
     if getattr(args, "seed", None) is not None:
         cfg = with_seed(cfg, args.seed)
     doc = config_to_dict(cfg)
@@ -110,120 +97,29 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return config_from_dict(doc)
 
 
-def _manifest_entry(extra: dict, key: str, parse):
-    """``parse(extra[key])``, or a ValueError naming the missing or
-    malformed entry."""
-    if key not in extra:
-        raise ValueError(f"model file lacks manifest entry {key!r}")
-    try:
-        return parse(extra[key])
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ValueError(f"manifest entry {key!r} is malformed: {exc}") from exc
-
-
-def _column_names(value: object) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-        raise TypeError("expected a list of column names")
-    twice = sorted({n for n in value if value.count(n) > 1})
-    if twice:
-        raise ValueError(f"names {', '.join(twice)} more than once")
-    return tuple(value)
-
-
-# The manifest's numbers follow the config's rules (_coerce): no bool or
-# string for a number, no fraction for a count.
-def _vector(value: object) -> np.ndarray:
-    if isinstance(value, list):
-        with contextlib.suppress(TypeError):
-            return np.array([_coerce(v, 0.0) for v in value], dtype=np.float64)
-    raise TypeError("expected a list of finite numbers")
-
-
-def _threshold(value: object) -> float:
-    """``value`` checked as the config's ``train.threshold`` is; a ConfigError names the fault."""
-    return config_from_dict({"train": {"threshold": value}}).train.threshold
-
-
-def _read_manifest(
-    model: ModelParams, extra: dict
-) -> tuple[tuple[str, ...], ScalerParams, float, DataConfig]:
-    """The feature names, scaler, threshold and label conventions of a
-    loaded model's manifest; a ValueError names the faulty entry.
-
-    A file without the label entries takes :class:`DataConfig`'s defaults.
-    """
-    names = _manifest_entry(extra, "feature_names", _column_names)
-    scaler = ScalerParams(
-        means=_manifest_entry(extra, "scaler_means", _vector),
-        stds=_manifest_entry(extra, "scaler_stds", _vector),
-        fitted_on=_manifest_entry(extra, "scaler_fitted_on", lambda v: _coerce(v, 0)),
-    )
-    if not len(names) == len(scaler.means) == model.n_features:
-        raise ValueError(
-            f"manifest entries 'feature_names' and 'scaler_means' hold {len(names)} "
-            f"and {len(scaler.means)} columns for a model of {model.n_features} features"
-        )
-    threshold = _manifest_entry(extra, "threshold", _threshold)
-    labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
-    try:
-        data = config_from_dict({"data": labels}).data
-    except ConfigError as exc:
-        raise ValueError(f"manifest label entries are malformed: {exc}") from exc
-    return names, scaler, threshold, data
-
-
-def _scoring_model(
-    args: argparse.Namespace,
-) -> tuple[ModelParams, tuple[str, ...], ScalerParams, float, DataConfig]:
-    """Load and check ``--model`` before any capture is read: the model, its
-    feature names, scaler, threshold (``--threshold`` overrides it) and label
-    conventions. Every fault in the file is a DataError that names the file."""
+def _scoring_model(args: argparse.Namespace) -> Detector:
+    """Load and check ``--model`` before any capture is read; ``--threshold``
+    overrides its threshold. Every fault in the file is a DataError that
+    names the file."""
     with _stage("load-model"):
         try:
             model, extra = load_model(args.model)  # its errors name the file
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         try:
-            names, scaler, threshold, labels = _read_manifest(model, extra)
+            detector = Detector.from_manifest(model, extra)
         except ValueError as exc:
             raise DataError(f"{args.model}: {exc}") from exc
     if args.threshold is not None:
-        threshold = _threshold(args.threshold)
-    return model, names, scaler, threshold, labels
+        detector = dataclasses.replace(detector, threshold=_load_pipeline_config(args).train.threshold)
+    return detector
 
 
-def _score(
-    model: ModelParams, X: np.ndarray, row_numbers: np.ndarray | None = None
-) -> np.ndarray:
-    """The attack probability of each scaled row of ``X``.
-
-    A logit that overflows to +-inf scores its limit, 1 or 0. A row whose
-    features lie so far outside the training range that the network's
-    arithmetic gives NaN is a DataError, which counts such rows and names
-    the first by its data-row number in ``row_numbers``, or else by its
-    position among the scored rows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        proba = predict_proba(model, X)
-    nan = np.flatnonzero(np.isnan(proba))
-    if nan.size:
-        first = (
-            f"data row {row_numbers[nan[0]]}" if row_numbers is not None
-            else f"scored row {nan[0] + 1}"
-        )
-        raise DataError(
-            f"{nan.size} of {proba.size} rows scored NaN; the first is {first}. The "
-            "network overflows on feature values far outside the training range"
-        )
-    return proba
-
-
-def _score_report(
-    model: ModelParams, ds: FlowDataset, threshold: float, kv_path: str | None
-) -> str:
+def _score_report(detector: Detector, ds: FlowDataset, kv_path: str | None) -> str:
     """Score the scaled rows of ``ds``; print and return the report as a table,
     and write it as ``key=value`` lines to ``kv_path`` if one is given."""
-    proba = _score(model, ds.features)
-    report = build_report(classify(proba, threshold), proba, ds.labels)
+    proba = detector.score(ds.features)
+    report = build_report(classify(proba, detector.threshold), proba, ds.labels)
     if kv_path:
         with open(kv_path, "w") as fh:
             fh.write(format_report_kv(report))
@@ -307,24 +203,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, report, _ = run_dual_phase(model, train_ds, balanced, cfg.train)
     print(f"trained {len(report.records)} epochs in {report.wall_time_s:.1f}s")
 
+    detector = Detector(model, train_ds.feature_names, scaler, cfg.train.threshold, cfg.data)
     with _stage("save"):
-        save_model(
-            model,
-            model_path,
-            extra={
-                "feature_names": list(train_ds.feature_names),
-                "scaler_means": [float(v) for v in scaler.means],
-                "scaler_stds": [float(v) for v in scaler.stds],
-                "scaler_fitted_on": scaler.fitted_on,
-                "threshold": cfg.train.threshold,
-                **dataclasses.asdict(cfg.data),  # read back by _read_manifest
-            },
-        )
+        save_model(model, model_path, extra=detector.manifest())
         write_train_report_csv(report, os.path.join(args.out, "train_report.csv"))
 
     with _stage("evaluate"):
         kv_path = os.path.join(args.out, "eval_report.kv")
-        table = _score_report(model, test_ds, cfg.train.threshold, kv_path)
+        table = _score_report(detector, test_ds, kv_path)
         with open(os.path.join(args.out, "eval_report.txt"), "w") as fh:
             fh.write(table + "\n")
     print(f"model: {model_path}")
@@ -333,42 +219,42 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, names, scaler, threshold, labels = _scoring_model(args)
+    detector = _scoring_model(args)
+    names = detector.feature_names
     with _stage("load"):
-        raw, _ = load_flow_csv(args.data, **dataclasses.asdict(labels), columns=names)
+        raw, _ = load_flow_csv(args.data, **dataclasses.asdict(detector.data), columns=names)
     # the capture is this command's own, so it is made ready in place;
-    # infinities take the mean of their column's finite cells, as in clean()
+    # infinities take the mean of their column's finite cells, as in clean(),
+    # not the scaler means of Detector.prepare
     with _stage(args.data):
         X, y = _scorable_in_place(
-            raw.features, raw.labels, lambda kept: _finite_means(kept, names), scaler
+            raw.features, raw.labels, lambda kept: _finite_means(kept, names), detector.scaler
         )
     with _stage("evaluate"):
-        _score_report(model, FlowDataset(names, X, y), threshold, args.out)
+        _score_report(detector, FlowDataset(names, X, y), args.out)
     if args.out:
         print(f"report: {args.out}")
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model, names, scaler, threshold, labels = _scoring_model(args)
-    benign, attack = labels.benign_token, labels.attack_token
+    detector = _scoring_model(args)
+    benign, attack = detector.data.benign_token, detector.data.attack_token
 
     with _stage("load"):
-        X, row_numbers = load_feature_matrix(args.data, names)
+        X, row_numbers = load_feature_matrix(args.data, detector.feature_names)
 
     # rows with unparseable cells are dropped; infinities take the scaler's
     # means. X is this command's own, so it is made ready in place.
     n_read = X.shape[0]
     with _stage(args.data):
-        X, rows = _scorable_in_place(
-            X, np.asarray(row_numbers), lambda _: scaler.means, scaler
-        )
+        X, rows = detector.prepare(X, row_numbers)
     del row_numbers
     n_dropped = n_read - X.shape[0]
 
     with _stage("predict"):
-        proba = _score(model, X, rows)
-    pred = classify(proba, threshold)
+        proba = detector.score(X, rows)
+    pred = classify(proba, detector.threshold)
 
     with _stage("write"):
         with open(args.out, "w", newline="") as fh:

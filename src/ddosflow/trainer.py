@@ -9,14 +9,17 @@ shuffle stream so a zero-penalty phase 2 continues phase 1 exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataError
-from .flow_data import FlowDataset
+from .errors import ConfigError, DataError
+from .flow_data import FlowDataset, ScalerParams, _scorable_in_place
 from .nn import (
     LossSpec,
     ModelParams,
@@ -31,6 +34,9 @@ from .nn import (
 )
 from .nn.losses import BASE_LOSSES
 
+if TYPE_CHECKING:
+    from .config import DataConfig  # config imports this module
+
 __all__ = [
     "TrainConfig",
     "EpochRecord",
@@ -41,6 +47,7 @@ __all__ = [
     "run_dual_phase",
     "predict_proba",
     "classify",
+    "Detector",
     "write_train_report_csv",
 ]
 
@@ -149,6 +156,136 @@ def predict_proba(
 def classify(proba: np.ndarray, threshold: float) -> np.ndarray:
     """1 where probability strictly exceeds the threshold, else 0."""
     return (np.asarray(proba) > threshold).astype(np.int64)
+
+
+def _manifest_entry(extra: dict, key: str, parse):
+    """``parse(extra[key])``, or a ValueError naming the missing or
+    malformed entry."""
+    if key not in extra:
+        raise ValueError(f"model file lacks manifest entry {key!r}")
+    try:
+        return parse(extra[key])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ValueError(f"manifest entry {key!r} is malformed: {exc}") from exc
+
+
+def _column_names(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise TypeError("expected a list of column names")
+    twice = sorted({n for n in value if value.count(n) > 1})
+    if twice:
+        raise ValueError(f"names {', '.join(twice)} more than once")
+    return tuple(value)
+
+
+# The manifest's numbers follow the config's rules (_coerce): no bool or
+# string for a number, no fraction for a count.
+def _vector(value: object) -> np.ndarray:
+    from .config import _coerce  # config imports this module
+    if isinstance(value, list):
+        with contextlib.suppress(TypeError):
+            return np.array([_coerce(v, 0.0) for v in value], dtype=np.float64)
+    raise TypeError("expected a list of finite numbers")
+
+
+def _stds(value: object) -> np.ndarray:
+    stds = _vector(value)
+    if np.any(stds < 0):
+        raise ValueError("stds must be non-negative")
+    return stds
+
+
+def _threshold(value: object) -> float:
+    """``value`` checked as the config's ``train.threshold`` is; a ConfigError names the fault."""
+    from .config import config_from_dict
+    return config_from_dict({"train": {"threshold": value}}).train.threshold
+
+
+@dataclass(frozen=True)
+class Detector:
+    """A trained model with what scoring a capture needs: the feature
+    columns it reads, in order, the scaler fitted on its training rows,
+    the decision threshold and the CSV label conventions.
+
+    ``ddosflow train`` saves :meth:`manifest` as the model file's extra
+    entries, and ``evaluate``, ``predict`` and library code read them back
+    with :meth:`from_manifest`, so every caller scores a row through
+    :meth:`score` with the same bits.
+    """
+
+    model: ModelParams
+    feature_names: tuple[str, ...]
+    scaler: ScalerParams
+    threshold: float
+    data: DataConfig
+
+    def manifest(self) -> dict:
+        """The extra manifest entries that :meth:`from_manifest` reads back."""
+        return {
+            "feature_names": list(self.feature_names),
+            "scaler_means": [float(v) for v in self.scaler.means],
+            "scaler_stds": [float(v) for v in self.scaler.stds],
+            "scaler_fitted_on": self.scaler.fitted_on,
+            "threshold": self.threshold,
+            **dataclasses.asdict(self.data),
+        }
+
+    @classmethod
+    def from_manifest(cls, model: ModelParams, extra: dict) -> Detector:
+        """The detector of a loaded model, ``load_model``'s pair; a
+        ValueError names the faulty entry.
+
+        A file without the label entries takes :class:`DataConfig`'s defaults.
+        """
+        from .config import DataConfig, _coerce, config_from_dict
+        names = _manifest_entry(extra, "feature_names", _column_names)
+        scaler = ScalerParams(
+            means=_manifest_entry(extra, "scaler_means", _vector),
+            stds=_manifest_entry(extra, "scaler_stds", _stds),
+            fitted_on=_manifest_entry(extra, "scaler_fitted_on", lambda v: _coerce(v, 0)),
+        )
+        if not len(names) == len(scaler.means) == model.n_features:
+            raise ValueError(
+                f"manifest entries 'feature_names' and 'scaler_means' hold {len(names)} "
+                f"and {len(scaler.means)} columns for a model of {model.n_features} features"
+            )
+        threshold = _manifest_entry(extra, "threshold", _threshold)
+        labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
+        try:
+            data = config_from_dict({"data": labels}).data
+        except ConfigError as exc:
+            raise ValueError(f"manifest label entries are malformed: {exc}") from exc
+        return cls(model, names, scaler, threshold, data)
+
+    def prepare(self, X: np.ndarray, tags: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~ddosflow.flow_data._scorable_in_place` with ``predict``'s
+        fill rule: the rows of ``X`` (the columns :attr:`feature_names`
+        name) without a NaN cell, each ±inf cell set to its column's scaler
+        mean, scaled, and their ``tags`` (row numbers or labels, made an
+        array), both inside the caller's arrays."""
+        return _scorable_in_place(X, np.asarray(tags), lambda _: self.scaler.means, self.scaler)
+
+    def score(self, X: np.ndarray, row_numbers: np.ndarray | None = None) -> np.ndarray:
+        """The attack probability of each scaled row of ``X``.
+
+        A logit that overflows to +-inf scores its limit, 1 or 0. A row whose
+        features lie so far outside the training range that the network's
+        arithmetic gives NaN is a DataError, which counts such rows and names
+        the first by its data-row number in ``row_numbers``, or else by its
+        position among the scored rows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            proba = predict_proba(self.model, X)
+        nan = np.flatnonzero(np.isnan(proba))
+        if nan.size:
+            first = (
+                f"data row {row_numbers[nan[0]]}" if row_numbers is not None
+                else f"scored row {nan[0] + 1}"
+            )
+            raise DataError(
+                f"{nan.size} of {proba.size} rows scored NaN; the first is {first}. The "
+                "network overflows on feature values far outside the training range"
+            )
+        return proba
 
 
 def _epoch_accuracy(

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from ddosflow.cli import _stage, main
-from ddosflow.config import default_config, dumps_config, loads_config
-from ddosflow.nn import load_model
+from ddosflow.config import DataConfig, default_config, dumps_config, loads_config
+from ddosflow.flow_data import load_feature_matrix
+from ddosflow.nn import load_model, save_model
+from ddosflow.trainer import Detector
 
 
 FAST_CONFIG = {
@@ -549,6 +551,7 @@ def _manifest_not_json(lines):
         (_set("scaler_fitted_on", 0), "fitted_on must be at least 1, got 0"),
         (_set("scaler_means", ["0.0", "1.0", "2.0", "3.0"]), "manifest entry 'scaler_means' is malformed: expected a list of finite numbers"),
         (_set("scaler_stds", [True, True, True, True]), "manifest entry 'scaler_stds' is malformed: expected a list of finite numbers"),
+        (_set("scaler_stds", [-1.0, 1.0, 1.0, 1.0]), "manifest entry 'scaler_stds' is malformed: stds must be non-negative"),
     ],
     ids=[
         "threshold-null", "feature_names-int", "benign_token-int", "attack_token-null",
@@ -556,6 +559,7 @@ def _manifest_not_json(lines):
         "scaler_means-nan", "scaler_stds-inf", "tensor-nan", "manifest-not-json",
         "threshold-string", "threshold-1.5", "scaler_fitted_on-fraction", "scaler_fitted_on-bool",
         "scaler_fitted_on-negative", "scaler_fitted_on-zero", "scaler_means-strings", "scaler_stds-bools",
+        "scaler_stds-negative",
     ],
 )
 def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys, edit, message, command):
@@ -590,6 +594,56 @@ def test_scoring_model_without_label_entries_takes_the_defaults(trained, tmp_pat
         assert main(["predict", "--model", path, "--data", data, "--out", str(out)]) == 0
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert main(["evaluate", "--model", str(older), "--data", data]) == 0
+
+
+@pytest.mark.parametrize("labels", [None, ("class", "normal", "attack")], ids=["default", "relabeled"])
+def test_a_detector_round_trips_its_manifest(tmp_path, labels):
+    """The detector read back from a model file writes the file's extras
+    again, and saving it again gives the same bytes, for the default label
+    conventions and threshold and for others."""
+    data = make_data(tmp_path)
+    sections = {}
+    if labels is not None:
+        column, benign, attack = labels
+        text = Path(data).read_text().replace(",Label\n", f",{column}\n", 1)
+        text = text.replace(",BENIGN\n", f",{benign}\n").replace(",DDoS\n", f",{attack}\n")
+        Path(data).write_text(text)
+        sections = {
+            "data": {"label_column": column, "benign_token": benign, "attack_token": attack},
+            "train": {"threshold": 0.3},
+        }
+    rc, outdir = run_train(tmp_path, data, config=write_fast_config(tmp_path, **sections))
+    assert rc == 0
+    path = outdir / "model.txt"
+    model, extra = load_model(str(path))
+    detector = Detector.from_manifest(model, extra)
+    assert detector.manifest() == extra
+    expected = DataConfig(*labels) if labels else DataConfig()
+    assert (detector.data, detector.threshold) == (expected, 0.3 if labels else 0.5)
+    resaved = tmp_path / "resaved.txt"
+    save_model(detector.model, str(resaved), extra=detector.manifest())
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_the_library_scores_a_capture_as_predict_does(trained, tmp_path):
+    """A capture with a NaN cell, an Infinity cell and a blank line, scored
+    through the library's Detector, gets the row numbers and the exact
+    probabilities of ``ddosflow predict``."""
+    data, model = trained
+    header, *rows = Path(data).read_text().splitlines()[:9]
+    rows[1] = "nan," + rows[1].split(",", 1)[1]
+    rows[3] = rows[3].split(",", 1)[0] + ",Infinity," + rows[3].split(",", 2)[2]
+    capture = tmp_path / "capture.csv"
+    capture.write_text("\n".join([header, *rows[:5], "", *rows[5:]]) + "\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", model, "--data", str(capture), "--out", str(out)]) == 0
+    expected = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+
+    detector = Detector.from_manifest(*load_model(model))
+    X, row_numbers = detector.prepare(*load_feature_matrix(str(capture), detector.feature_names))
+    proba = detector.score(X, row_numbers)
+    assert [[str(r), repr(p)] for r, p in zip(row_numbers.tolist(), proba.tolist())] == expected
+    assert [r for r, _ in expected] == ["1", "3", "4", "5", "7", "8", "9"]
 
 
 def test_evaluate_scores_a_one_class_capture(trained, tmp_path, capsys):

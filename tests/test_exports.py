@@ -1,6 +1,7 @@
 """Every name a package or module exports through ``__all__`` exists, the
-packages export exactly the names the README's API section lists, and the
-package imports itself only by relative imports."""
+packages export exactly the names the README's API section lists, the
+package imports itself only by relative imports, and every name the
+benchmark's traced run replaces exists."""
 
 import ast
 import importlib
@@ -17,7 +18,8 @@ import ddosflow
 import ddosflow.nn
 from ddosflow.nn import ArchitectureConfig, init_model, save_model
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _modules():
@@ -99,3 +101,22 @@ def test_package_imports_itself_only_relatively():
             ]
     assert len(list(root.rglob("*.py"))) > 10
     assert absolute == []
+
+
+def test_every_name_the_traced_benchmark_replaces_exists():
+    """``perfbench/layers.py`` times the commands by replacing, for the run,
+    each ``(module, name)`` key of its ``WRAPS`` table by a traced call; a
+    name the program no longer looks up in that module fails the benchmark.
+    The file is parsed, not imported, so no benchmark code runs here."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPS"]
+    ]
+    keys = [(key.elts[0].id, key.elts[1].value) for key in table.keys]
+    assert len(keys) > 20
+    missing = [
+        f"{module}.{name}" for module, name in keys
+        if not hasattr(importlib.import_module(f"ddosflow.{module}"), name)
+    ]
+    assert missing == []

@@ -46,6 +46,12 @@ def test_library_use_snippet_runs(tmp_path, monkeypatch, capsys):
     exec(compile(_library_snippet(), "README.md", "exec"), ns)
     assert "roc_auc" in capsys.readouterr().out
 
+    # the snippet's saved model scores flows.csv as `ddosflow predict` does, bit for bit
+    assert main(["predict", "--model", "model.txt", "--data", "flows.csv", "--out", "pred.csv"]) == 0
+    predicted = [line.split(",")[:2] for line in (tmp_path / "pred.csv").read_text().splitlines()[1:]]
+    scored = [[str(r), repr(p)] for r, p in zip(ns["rows"].tolist(), ns["scores"].tolist())]
+    assert scored == predicted and len(scored) == 1050
+
     # the snippet's comment on provenance holds
     train_s, balanced, prov = ns["train_s"], ns["balanced"], ns["provenance"]
     synth = balanced.features[train_s.n_rows :]
