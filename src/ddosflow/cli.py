@@ -152,12 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     os.makedirs(os.path.dirname(model_path) or ".", exist_ok=True)
 
     with _stage("load"):
-        raw, dropped = load_flow_csv(
-            args.data,
-            label_column=cfg.data.label_column,
-            benign_token=cfg.data.benign_token,
-            attack_token=cfg.data.attack_token,
-        )
+        raw, dropped = load_flow_csv(args.data, cfg.data)
     if dropped:
         print(f"dropped {len(dropped)} non-numeric columns: {', '.join(dropped)}")
     with _stage("clean"):
@@ -222,7 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     detector = _scoring_model(args)
     names = detector.feature_names
     with _stage("load"):
-        raw, _ = load_flow_csv(args.data, **dataclasses.asdict(detector.data), columns=names)
+        raw, _ = load_flow_csv(args.data, detector.data, columns=names)
     # the capture is this command's own, so it is made ready in place;
     # infinities take the mean of their column's finite cells, as in clean(),
     # not the scaler means of Detector.prepare

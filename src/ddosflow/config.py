@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .flow_data import SplitConfig
+from .errors import ConfigError, _from_dict
+from .flow_data import DataConfig, SplitConfig
 from .nn import ArchitectureConfig
 from .smote import SmoteConfig
 from .trainer import TrainConfig
@@ -31,21 +30,6 @@ __all__ = [
     "load_config",
     "with_seed",
 ]
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """CSV label conventions (CICIDS defaults)."""
-
-    label_column: str = "Label"
-    benign_token: str = "BENIGN"
-    attack_token: str = "DDoS"
-
-    def __post_init__(self) -> None:
-        if not self.label_column:
-            raise ValueError("label_column must be non-empty")
-        if self.benign_token.strip().casefold() == self.attack_token.strip().casefold():
-            raise ValueError("benign_token and attack_token must differ")
 
 
 @dataclass(frozen=True)
@@ -105,59 +89,6 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
             k: list(v) if isinstance(v, tuple) else v for k, v in d.items()
         }
     return out
-
-
-def _coerce(value, expected):
-    """``value`` checked and converted by the type of the default ``expected``, else a TypeError."""
-    if isinstance(expected, bool):
-        if not isinstance(value, bool):
-            raise TypeError(f"expected true/false, got {value!r}")
-        return value
-    if isinstance(expected, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"expected an integer, got {value!r}")
-        return value
-    if isinstance(expected, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"expected a number, got {value!r}")
-        if not math.isfinite(value):  # JSON's NaN and Infinity parse
-            raise TypeError(f"expected a finite number, got {value!r}")
-        return float(value)
-    if isinstance(expected, str):
-        if not isinstance(value, str):
-            raise TypeError(f"expected a string, got {value!r}")
-        return value
-    if isinstance(expected, tuple):
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise TypeError(f"expected a list of integers, got {value!r}")
-        return tuple(value)
-    raise TypeError("unsupported value type")  # pragma: no cover
-
-
-def _from_dict(proto, given: object, path: str):
-    """``proto`` with the JSON object ``given`` applied by the config's rules
-    (no unknown key, :func:`_coerce`, the dataclass's invariants), for each
-    config section and a model file's architecture; a ConfigError names the
-    fault by its dotted ``path``."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    names = [f.name for f in dataclasses.fields(proto)]
-    for key in given:
-        if key not in names:
-            raise ConfigError(f"unknown config key {path}.{key!r}")
-    kwargs = {}
-    for name in names:
-        if name in given:
-            try:
-                kwargs[name] = _coerce(given[name], getattr(proto, name))
-            except TypeError as exc:
-                raise ConfigError(f"{path}.{name}: {exc}") from exc
-    try:
-        return dataclasses.replace(proto, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "DataConfig",
     "FlowDataset",
     "ScalerParams",
     "SplitConfig",
@@ -140,6 +141,23 @@ class SplitConfig:
             raise ValueError("test_fraction must be in (0, 1)")
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """CSV label conventions (CICIDS defaults): the header name of the label
+    column and the tokens encoded 0 (benign) and 1 (attack), which must
+    differ case-insensitively after trimming."""
+
+    label_column: str = "Label"
+    benign_token: str = "BENIGN"
+    attack_token: str = "DDoS"
+
+    def __post_init__(self) -> None:
+        if not self.label_column:
+            raise ValueError("label_column must be non-empty")
+        if self.benign_token.strip().casefold() == self.attack_token.strip().casefold():
+            raise ValueError("benign_token and attack_token must differ")
+
+
 def _parse_cell(cell: str) -> tuple[float, bool]:
     """Parse one CSV cell as ``float(cell.strip())``.
 
@@ -198,6 +216,8 @@ def _read_header(fh: TextIO, path: str) -> list[str]:
         header = next(csv.reader(fh))
     except StopIteration:
         raise DataError(f"{path}: empty file, expected a header row") from None
+    except csv.Error as exc:  # a name longer than csv's field limit
+        raise DataError(f"{path}: header: {exc}") from None
     names = [h.strip() for h in header]
     taken = set(names)
     seen: set[str] = set()
@@ -264,8 +284,9 @@ def _read_rows(
     unwritten cost address space, not memory.
 
     Raises:
-        DataError: ragged row, unknown label token, no data rows, or a
-            file that grew while it was read.
+        DataError: ragged row, unknown label token, a cell longer than
+            csv's field limit, no data rows, or a file that grew while it
+            was read.
     """
     take_idx = np.asarray(take, dtype=np.intp)
     bound = _record_bound(path)
@@ -318,7 +339,10 @@ def _csv_block(
     evidence = np.zeros(len(columns), dtype=np.int64)
     records = 0
     while reader.line_num < len(lines):
-        row = next(reader)
+        try:
+            row = next(reader)
+        except csv.Error as exc:  # a cell longer than csv's field limit
+            raise DataError(f"{path}: row {row_no + records + 1}: {exc}") from None
         records += 1
         if not row or all(not c.strip() for c in row):
             continue  # skip blank lines
@@ -441,11 +465,7 @@ def _find_columns(path: str, header: Sequence[str], wanted: Sequence[str]) -> li
 
 
 def load_flow_csv(
-    path: str,
-    label_column: str = "Label",
-    benign_token: str = "BENIGN",
-    attack_token: str = "DDoS",
-    columns: Sequence[str] | None = None,
+    path: str, data: DataConfig = DataConfig(), columns: Sequence[str] | None = None
 ) -> tuple[FlowDataset, list[str]]:
     """Load a flow CSV, encode labels, and drop non-numeric columns.
 
@@ -460,8 +480,9 @@ def load_flow_csv(
     column with a few corrupt cells survives with NaNs for :func:`clean` to
     handle. Rows whose cells are all blank are skipped.
 
-    Label cells must equal ``benign_token`` or ``attack_token``,
-    case-insensitively after trimming; they are encoded 0 and 1.
+    Label cells, in the column ``data.label_column`` names, must equal
+    ``data.benign_token`` or ``data.attack_token``, case-insensitively after
+    trimming; they are encoded 0 and 1.
 
     The file is read in blocks of whole lines, about 128 K characters
     each, by NumPy's C parser, which gives a cell the value ``float()``
@@ -473,9 +494,7 @@ def load_flow_csv(
 
     Args:
         path: CSV file with a header row (RFC 4180, UTF-8).
-        label_column: Header name of the label column.
-        benign_token: Label value encoded as 0.
-        attack_token: Label value encoded as 1.
+        data: The label column and tokens.
         columns: Read only these columns, in this order, whatever their
             cells hold (as :func:`load_feature_matrix` does).
 
@@ -485,27 +504,22 @@ def load_flow_csv(
 
     Raises:
         DataError: missing header or label column, unknown label token
-            (named with its row), ragged row, zero numeric columns, a
-            requested column absent or requested twice, or bytes that are
-            not UTF-8.
+            (named with its row), ragged row, a header name or cell longer
+            than csv's field limit (named by its row), zero numeric
+            columns, a requested column absent or requested twice, or bytes
+            that are not UTF-8.
         OSError: the file cannot be read.
     """
-    benign = benign_token.strip().casefold()
-    attack = attack_token.strip().casefold()
-    if benign == attack:
-        raise DataError("benign and attack tokens must differ")
-
+    tokens = {data.benign_token.strip().casefold(): 0, data.attack_token.strip().casefold(): 1}
     with _open_csv(path) as fh:
         names = _read_header(fh, path)
-        if label_column not in names:
-            raise DataError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = names.index(label_column)
+        if data.label_column not in names:
+            raise DataError(f"{path}: label column {data.label_column!r} not found in header")
+        label_idx = names.index(data.label_column)
         take = [i for i in range(len(names)) if i != label_idx]
         if columns is not None:
             take = _find_columns(path, names, columns)
-        features, evidence, labels, _ = _read_rows(
-            fh, path, len(names), take, label_idx, {benign: 0, attack: 1}
-        )
+        features, evidence, labels, _ = _read_rows(fh, path, len(names), take, label_idx, tokens)
     if columns is not None:
         return FlowDataset(tuple(columns), features, labels), []
 
@@ -534,8 +548,9 @@ def load_feature_matrix(
 
     Raises:
         DataError: missing header, any requested column absent (all
-            absentees listed) or requested twice, ragged row, no data rows,
-            or bytes that are not UTF-8.
+            absentees listed) or requested twice, ragged row, a header name
+            or cell longer than csv's field limit, no data rows, or bytes
+            that are not UTF-8.
         OSError: the file cannot be read.
     """
     with _open_csv(path) as fh:
@@ -553,8 +568,9 @@ def clean(ds: FlowDataset) -> FlowDataset:
     finite values remaining in its column. Idempotent.
 
     Raises:
-        DataError: every row was removed, or a column has no finite value
-            to average (the column is named).
+        DataError: every row was removed, a column has no finite value
+            to average (the column is named), or the mean overflows float64
+            (the columns are named).
     """
     keep = ~np.isnan(ds.features).any(axis=1)
     features = ds.features[keep]  # boolean indexing copies
@@ -626,7 +642,8 @@ def _finite_means(X: np.ndarray, names: Sequence[str]) -> np.ndarray:
     the finite cells of each column that holds ±inf, 0 in the others.
 
     Raises:
-        DataError: a column (named) holds ±inf and no finite value.
+        DataError: a column (named) holds ±inf and no finite value, or
+            columns (named) whose fill value overflows float64.
     """
     has_inf = np.zeros(X.shape[1], dtype=bool)
     for _, block in _row_blocks(X):
@@ -636,7 +653,12 @@ def _finite_means(X: np.ndarray, names: Sequence[str]) -> np.ndarray:
         finite = X[np.isfinite(X[:, j]), j]
         if not finite.size:
             raise DataError(f"column {names[j]!r} has no finite values")
-        values[j] = finite.mean()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+            values[j] = finite.mean()
+    overflow = np.flatnonzero(~np.isfinite(values))
+    if overflow.size:
+        columns = ", ".join(names[j] for j in overflow)
+        raise DataError(f"mean of the finite values overflows float64 in columns: {columns}")
     return values
 
 
@@ -771,22 +793,17 @@ def apply_scaler(ds: FlowDataset, s: ScalerParams) -> FlowDataset:
     return FlowDataset(ds.feature_names, s.scale(ds.features), ds.labels.copy())
 
 
-def save_flow_csv(
-    ds: FlowDataset,
-    path: str,
-    label_column: str = "Label",
-    benign_token: str = "BENIGN",
-    attack_token: str = "DDoS",
-) -> None:
-    """Write the dataset back out as CSV: feature columns plus a label column.
+def save_flow_csv(ds: FlowDataset, path: str, data: DataConfig = DataConfig()) -> None:
+    """Write the dataset back out as CSV: feature columns plus the label
+    column ``data`` names, holding its tokens.
 
     csv writes floats with ``repr``, which round-trips float64 exactly,
     so save → load → save is byte-stable.
     """
-    tokens = (benign_token, attack_token)
+    tokens = (data.benign_token, data.attack_token)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
+        writer.writerow(list(ds.feature_names) + [data.label_column])
         writer.writerows(
             row + [tokens[label]]
             for row, label in zip(ds.features.tolist(), ds.labels.tolist())

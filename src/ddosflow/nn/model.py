@@ -81,9 +81,9 @@ class ModelParams:
     """Ordered parameter blocks defining the network.
 
     Each block carries the attention layer that follows it
-    (``blocks[i].attention``, None where there is none). ``attentions``
-    lists them aligned with ``blocks``. The default wiring has exactly one
-    attention layer, after the final block, exposed as ``attention``.
+    (``blocks[i].attention``, None where there is none). The default wiring
+    has exactly one attention layer, after the final block, exposed as
+    ``attention``.
     """
 
     input_affine: AffineParams
@@ -91,10 +91,6 @@ class ModelParams:
     output_affine: AffineParams
     n_features: int
     arch: ArchitectureConfig = field(repr=False)
-
-    @property
-    def attentions(self) -> list[AttentionParams | None]:
-        return [block.attention for block in self.blocks]
 
     @property
     def attention(self) -> AttentionParams | None:

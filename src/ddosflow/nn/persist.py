@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, _coerce, _from_dict
 from .model import ArchitectureConfig, ModelParams, _alloc_model, named_parameters, named_state
 
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
@@ -50,9 +50,7 @@ def save_model(model: ModelParams, path: str, extra: dict | None = None) -> None
     for reserved in ("architecture", "n_features", "format"):
         if reserved in manifest:
             raise ValueError(f"manifest key {reserved!r} is reserved")
-    arch = dataclasses.asdict(model.arch)
-    arch["block_widths"] = list(model.arch.block_widths)
-    manifest["architecture"] = arch
+    manifest["architecture"] = dataclasses.asdict(model.arch)
     manifest["n_features"] = model.n_features
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -80,8 +78,6 @@ def load_model(path: str) -> tuple[ModelParams, dict]:
             a truncated tensor; or a malformed or non-finite value (the line
             named).
     """
-    from ..config import _coerce, _from_dict  # config imports ddosflow.nn
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()

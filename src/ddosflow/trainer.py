@@ -14,12 +14,11 @@ import csv
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .flow_data import FlowDataset, ScalerParams, _scorable_in_place
+from .errors import ConfigError, DataError, _coerce, _from_dict
+from .flow_data import DataConfig, FlowDataset, ScalerParams, _scorable_in_place
 from .nn import (
     LossSpec,
     ModelParams,
@@ -33,9 +32,6 @@ from .nn import (
     sigmoid,
 )
 from .nn.losses import BASE_LOSSES
-
-if TYPE_CHECKING:
-    from .config import DataConfig  # config imports this module
 
 __all__ = [
     "TrainConfig",
@@ -181,7 +177,6 @@ def _column_names(value: object) -> tuple[str, ...]:
 # The manifest's numbers follow the config's rules (_coerce): no bool or
 # string for a number, no fraction for a count.
 def _vector(value: object) -> np.ndarray:
-    from .config import _coerce  # config imports this module
     if isinstance(value, list):
         with contextlib.suppress(TypeError):
             return np.array([_coerce(v, 0.0) for v in value], dtype=np.float64)
@@ -197,8 +192,7 @@ def _stds(value: object) -> np.ndarray:
 
 def _threshold(value: object) -> float:
     """``value`` checked as the config's ``train.threshold`` is; a ConfigError names the fault."""
-    from .config import config_from_dict
-    return config_from_dict({"train": {"threshold": value}}).train.threshold
+    return _from_dict(TrainConfig(), {"threshold": value}, "train").threshold
 
 
 @dataclass(frozen=True)
@@ -237,7 +231,6 @@ class Detector:
 
         A file without the label entries takes :class:`DataConfig`'s defaults.
         """
-        from .config import DataConfig, _coerce, config_from_dict
         names = _manifest_entry(extra, "feature_names", _column_names)
         scaler = ScalerParams(
             means=_manifest_entry(extra, "scaler_means", _vector),
@@ -252,7 +245,7 @@ class Detector:
         threshold = _manifest_entry(extra, "threshold", _threshold)
         labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
         try:
-            data = config_from_dict({"data": labels}).data
+            data = _from_dict(DataConfig(), labels, "data")
         except ConfigError as exc:
             raise ValueError(f"manifest label entries are malformed: {exc}") from exc
         return cls(model, names, scaler, threshold, data)

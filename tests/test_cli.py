@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import csv
 import hashlib
 import json
 import re
@@ -343,6 +344,59 @@ def test_a_capture_that_is_not_utf8_is_a_data_error_naming_the_file(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"data error: load: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("where", ["row", "header"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_a_cell_longer_than_csvs_field_limit_is_a_data_error_naming_its_row(
+    trained, tmp_path, capsys, command, where
+):
+    """csv.reader refuses a field longer than its limit (131,072 characters
+    by default), in a data row or in the header; NumPy's parser leaves such
+    a line to it, so every command names the file and the row."""
+    data, model = trained
+    header, *rows = Path(data).read_text().splitlines()
+    long = "9" * 200_000
+    if where == "header":
+        header = header.replace("feature_3", long)
+    else:
+        rows[2] = long + rows[2][rows[2].index(","):]
+    capture = tmp_path / "long.csv"
+    capture.write_text("\n".join([header, *rows]) + "\n")
+    argv = {
+        "train": ["train", "--data", str(capture), "--out", str(tmp_path / "o")],
+        "evaluate": ["evaluate", "--model", model, "--data", str(capture)],
+        "predict": ["predict", "--model", model, "--data", str(capture), "--out", str(tmp_path / "p.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    at = "header" if where == "header" else "row 3"
+    limit = f"field larger than field limit ({csv.field_size_limit()})"
+    assert capsys.readouterr().err == f"data error: load: {capture}: {at}: {limit}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_inf_fill_mean_that_overflows_is_a_data_error_naming_its_column(
+    trained, tmp_path, capsys, command
+):
+    """Two finite cells of 1e308 sum past float64's largest value, so the
+    mean that would replace the column's Infinity cell is no number: the
+    command names the column (and, as in every test, lets no RuntimeWarning
+    escape) instead of scoring or training on an infinite cell."""
+    data, model = trained
+    header, *rows = Path(data).read_text().splitlines()
+    for i, cell in enumerate(["1e308", "1e308", "Infinity"]):
+        rows[i] = cell + rows[i][rows[i].index(","):]
+    capture = tmp_path / "overflow.csv"
+    capture.write_text("\n".join([header, *rows]) + "\n")
+    argv, stage = {
+        "train": (["train", "--data", str(capture), "--out", str(tmp_path / "o")], "clean"),
+        "evaluate": (["evaluate", "--model", model, "--data", str(capture)], str(capture)),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    message = "mean of the finite values overflows float64 in columns: feature_0"
+    assert capsys.readouterr().err == f"data error: {stage}: {message}\n"
 
 
 def test_stage_prefixes_an_error_whose_class_takes_other_arguments():

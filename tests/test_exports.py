@@ -1,7 +1,7 @@
 """Every name a package or module exports through ``__all__`` exists, the
 packages export exactly the names the README's API section lists, the
-package imports itself only by relative imports, and every name the
-benchmark's traced run replaces exists."""
+package imports itself only by relative imports, at module level and
+without a cycle, and every name the benchmark's traced run replaces exists."""
 
 import ast
 import importlib
@@ -19,6 +19,7 @@ import ddosflow.nn
 from ddosflow.nn import ArchitectureConfig, init_model, save_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = pathlib.Path(ddosflow.__file__).resolve().parent
 README = ROOT / "README.md"
 
 
@@ -55,10 +56,17 @@ def test_all_names_resolve(module_name):
     assert missing == []
 
 
+def _fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports this package."""
+    src = str(SRC.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_load_model_runs_with_only_the_nn_package_imported(tmp_path):
-    """``load_model`` imports ``ddosflow.config`` (which imports
-    ``ddosflow.nn``) when it runs. A fresh interpreter that has imported only
-    ``ddosflow.nn`` is the one order in which that import comes first; this
+    """``load_model`` checks a manifest by the config's value rules, which
+    ``ddosflow.errors`` holds, so a fresh interpreter that has imported only
+    ``ddosflow.nn`` loads a model without importing ``ddosflow.config``; this
     process imported ``config`` while collecting the tests."""
     path = tmp_path / "m.txt"
     save_model(init_model(3, ArchitectureConfig(input_width=2, block_widths=(2,))), str(path))
@@ -68,10 +76,53 @@ def test_load_model_runs_with_only_the_nn_package_imported(tmp_path):
         "assert 'ddosflow.config' not in sys.modules\n"
         "model, extra = ddosflow.nn.load_model(sys.argv[1])\n"
         "assert (model.n_features, model.arch.block_widths, extra) == (3, (2,), {})\n"
+        "assert 'ddosflow.config' not in sys.modules\n"
     )
-    src = str(pathlib.Path(ddosflow.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    done = _fresh_python("-c", code, str(path))
+    assert done.returncode == 0, done.stderr
+
+
+def _imports(path):
+    """``(node, names, top)`` for each import statement of the module at
+    ``path``: the absolute names of the modules (and, for ``from``, of the
+    names) it imports, and whether it is a statement of the module's body."""
+    tree = ast.parse(path.read_text(), str(path))
+    package = ["ddosflow", *path.relative_to(SRC).parent.parts]
+    body = set(map(id, tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield node, names, id(node) in body
+
+
+def test_the_import_graph_is_a_module_level_one_without_cycles():
+    """Every import is a statement of its module's body: none inside a
+    function, where it would hide a cycle until the function runs, and no
+    ``if TYPE_CHECKING`` block. Only ``cli`` imports ``config``, which
+    imports the modules whose settings it gathers."""
+    nested, config_users = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node, names, top in _imports(path):
+            where = f"{path.relative_to(SRC)}:{node.lineno}"
+            if not top:
+                nested.append(where)
+            if "ddosflow.config" in names and path.name != "cli.py":
+                config_users.append(where)
+    assert nested == []
+    assert config_users == []
+
+
+@pytest.mark.parametrize("module_name", _modules())
+def test_each_module_imports_alone_in_a_fresh_interpreter(module_name):
+    """Imported first, a module takes what it needs from modules that have
+    finished importing; a cycle of module-level imports fails here."""
+    done = _fresh_python("-c", f"import {module_name}")
     assert done.returncode == 0, done.stderr
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ddosflow import flow_data
 from ddosflow.errors import DataError
 from ddosflow.flow_data import (
+    DataConfig,
     FlowDataset,
     ScalerParams,
     SplitConfig,
@@ -265,9 +266,16 @@ def test_cicids_shaped_capture_needs_csv_for_at_most_two_blocks(tmp_path, monkey
     assert len(calls) <= 2
     calls.clear()
     assert _same_outcome(
-        load_flow_csv, _reference_load_flow_csv, path, "Label", "BENIGN", "DDoS", names
+        _load_by_tokens, _reference_load_flow_csv, path, "Label", "BENIGN", "DDoS", names
     )
     assert len(calls) <= 2
+
+
+def _load_by_tokens(
+    path, label_column="Label", benign_token="BENIGN", attack_token="DDoS", columns=None
+):
+    """:func:`load_flow_csv` called with the arguments of the reference below."""
+    return load_flow_csv(path, DataConfig(label_column, benign_token, attack_token), columns)
 
 
 # The loaders as they were before block-wise reading: csv.reader plus
@@ -469,11 +477,11 @@ def test_block_reader_matches_reference(tmp_path_factory):
             # blocks of a few lines, so records and quoted fields cross block edges
             mp.setattr(flow_data, "_BLOCK_CHARS", block_chars)
             assert _same_outcome(
-                load_flow_csv, _reference_load_flow_csv, path, "Label", *tokens
+                _load_by_tokens, _reference_load_flow_csv, path, "Label", *tokens
             )
             # the call evaluate makes: the model's columns by name, with labels
             assert _same_outcome(
-                load_flow_csv, _reference_load_flow_csv, path, "Label", *tokens, names
+                _load_by_tokens, _reference_load_flow_csv, path, "Label", *tokens, names
             )
             assert _same_outcome(
                 load_feature_matrix, _reference_load_feature_matrix, path, names
@@ -504,7 +512,7 @@ def test_reader_matches_reference_where_line_ends_overstate_records(
     monkeypatch.setattr(flow_data, "_BLOCK_CHARS", block_chars)
     assert _same_outcome(load_flow_csv, _reference_load_flow_csv, path)
     assert _same_outcome(
-        load_flow_csv, _reference_load_flow_csv, path, "Label", "BENIGN", "DDoS", ("b", "a")
+        _load_by_tokens, _reference_load_flow_csv, path, "Label", "BENIGN", "DDoS", ("b", "a")
     )
     assert _same_outcome(load_feature_matrix, _reference_load_feature_matrix, path, ("b", "a"))
     X, rows = load_feature_matrix(path, ("a",))
@@ -583,6 +591,20 @@ def test_clean_empty_result_raises():
 def test_clean_all_inf_column_named():
     ds = _ds([[1.0, math.inf], [2.0, math.inf]], [0, 1], names=("ok", "rate"))
     with pytest.raises(DataError, match="'rate'"):
+        clean(ds)
+
+
+def test_clean_names_the_columns_whose_inf_fill_mean_overflows():
+    # the finite cells of "big" sum past float64's largest value, and those
+    # of "mixed" too, where NumPy's partial sums can reach +inf and -inf,
+    # which add to NaN; so the mean that would replace their Infinity cells
+    # is no number, and no overflow or invalid-value warning escapes
+    # (pytest raises them)
+    big = [1e308] * 9 + [math.inf]
+    mixed = [1e308, 1e308, -1e308, -1e308, -1e308, 1e308, 1e308, 1e308, 1e308, -math.inf]
+    ok = [1.0] * 9 + [math.inf]
+    ds = _ds(np.array([big, ok, mixed]).T, [0, 1] * 5, names=("big", "ok", "mixed"))
+    with pytest.raises(DataError, match=r"^mean of the finite values overflows float64 in columns: big, mixed$"):
         clean(ds)
 
 

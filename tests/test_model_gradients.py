@@ -89,13 +89,14 @@ def test_projection_present_iff_widths_differ():
 
 def test_default_has_single_attention_after_last_block():
     model = init_model(3, ArchitectureConfig(input_width=4, block_widths=(4, 4, 4)))
-    assert model.attentions[0] is None and model.attentions[1] is None
-    assert model.attentions[2] is not None
-    assert model.attention is model.attentions[2]
+    attentions = [b.attention for b in model.blocks]
+    assert attentions[0] is None and attentions[1] is None
+    assert attentions[2] is not None
+    assert model.attention is attentions[2]
     every = init_model(
         3, ArchitectureConfig(input_width=4, block_widths=(4, 4), attention_after_each=True)
     )
-    assert all(a is not None for a in every.attentions)
+    assert all(b.attention is not None for b in every.blocks)
 
 
 def test_init_he_uniform_bounds_and_determinism():

@@ -92,8 +92,8 @@ def test_architecture_flags_survive(tmp_path):
     save_model(model, path)
     loaded, _ = load_model(path)
     assert loaded.arch == arch
-    assert len(loaded.attentions) == 2
-    assert all(a is not None for a in loaded.attentions)
+    assert len(loaded.blocks) == 2
+    assert all(b.attention is not None for b in loaded.blocks)
     assert loaded.blocks[1].projection is not None
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ddosflow.synth import SyntheticSpec, make_synthetic, write_synthetic_csv
-from ddosflow.flow_data import load_flow_csv
+from ddosflow.flow_data import DataConfig, load_flow_csv
 
 
 def test_counts_labels_and_layout():
@@ -70,9 +70,7 @@ def test_csv_round_trip(tmp_path):
     spec = SyntheticSpec(n_majority=12, n_minority=4, n_features=2, seed=9)
     path = str(tmp_path / "flows.csv")
     write_synthetic_csv(spec, path)
-    ds, dropped = load_flow_csv(
-        path, label_column="Label", benign_token="BENIGN", attack_token="DDoS"
-    )
+    ds, dropped = load_flow_csv(path, DataConfig("Label", "BENIGN", "DDoS"))
     assert dropped == []
     want = make_synthetic(spec)
     assert ds.feature_names == want.feature_names
