@@ -274,7 +274,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     arch = ArchitectureConfig(
         input_width=gc.input_width,
         block_widths=gc.block_widths,
-        attention_after_each=False,
         init_seed=gc.seed,
     )
     model = init_model(gc.n_features, arch)

@@ -165,8 +165,6 @@ class ResidualBlockParams:
 
     ``projection`` is present exactly when the block's input and output
     widths differ; it is the width-matching affine map on the skip path.
-    ``attention``, when present, is the attention layer the model applies
-    to the block's output; :func:`residual_block_forward` does not apply it.
     """
 
     affine1: AffineParams
@@ -174,7 +172,6 @@ class ResidualBlockParams:
     affine2: AffineParams
     bn2: BatchNormParams
     projection: AffineParams | None = None
-    attention: AttentionParams | None = None
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -231,9 +228,20 @@ def affine_param_backward(
     """Returns ``(dW, db)`` alone, for a layer whose input gradient no one
     reads (the network's input layer)."""
     ws = Workspace() if ws is None else ws
-    dW = np.matmul(dout.T, x, out=ws.get(p, "dW", *p.W.shape))
+    dW = _weight_gradient(x, dout, ws.get(p, "dW", *p.W.shape), ws)
     db = np.sum(dout, axis=0, out=ws.get(p, "db", *p.b.shape))
     return dW, db
+
+
+def _weight_gradient(x: np.ndarray, dout: np.ndarray, dW: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``dout.T @ x`` written into ``dW``, computed as the transpose of
+    ``x.T @ dout`` in one flat buffer of ``ws`` that every layer shares:
+    OpenBLAS splits the first product's sum over the batch rows across its
+    threads, so its bits would depend on the thread count."""
+    n_in, n_out = x.shape[1], dout.shape[1]
+    flat = ws.get(_weight_gradient, "x.T @ dout", n_in * n_out)
+    np.copyto(dW, np.matmul(x.T, dout, out=flat.reshape(n_in, n_out)).T)
+    return dW
 
 
 def batchnorm_forward(
@@ -355,7 +363,7 @@ def attention_backward(
     dS *= A
     dZ = np.multiply(dout, A, out=ws.get(p, "dZ", m, w))
     dZ += np.matmul(dS, p.W_a, out=scratch)
-    dW_a = np.matmul(dS.T, Z, out=ws.get(p, "dW_a", w, w))
+    dW_a = _weight_gradient(Z, dS, ws.get(p, "dW_a", w, w), ws)
     db_a = np.sum(dS, axis=0, out=ws.get(p, "db_a", w))
     return dZ, dW_a, db_a
 
@@ -427,10 +435,11 @@ def _bind_shared(
 
 
 def _rotating_workspace(
-    first: AffineParams, blocks: list[ResidualBlockParams], rows: int, outer: Workspace
+    first: AffineParams, blocks: list[ResidualBlockParams], attention: AttentionParams,
+    rows: int, outer: Workspace,
 ) -> Workspace:
-    """A workspace for passes of up to ``rows`` rows through ``first`` and
-    then ``blocks`` (with their attention) that keep no backward cache.
+    """A workspace for passes of up to ``rows`` rows through ``first``,
+    then ``blocks`` and then ``attention`` that keep no backward cache.
 
     Its activation buffers are views of three buffers at the front of
     ``outer``'s scratch vector, bound under the roles by which the layer
@@ -440,8 +449,9 @@ def _rotating_workspace(
     first stage in ``a`` and its second in ``b`` (its batch norms and ReLUs
     work in place), keeping each batch norm's squares and ``xhat`` in the
     third buffer; the projection shortcut goes into ``a`` once ``affine2``
-    has read it. The block's output and its attention stay in ``b``, the
-    next block's input, and the attention scores take ``a``.
+    has read it. The block's output stays in ``b``, the next block's input.
+    The attention's output stays in the last block's ``b`` too, and its
+    scores take that block's ``a``.
     """
     plan = [(0, first, "out", first.W.shape[0])]
     h = 0
@@ -452,34 +462,37 @@ def _rotating_workspace(
             (a, block.affine1, "out", w), (b, block.bn1, "xhat", w),
             (b, block.affine2, "out", w), (a, block.bn2, "xhat", w),
             (a, block.projection, "out", w),
-            (a, block.attention, "A", w), (b, block.attention, "out", w),
         ]
         h = b
+    plan += [(a, attention, "A", w), (b, attention, "out", w)]
     return _bind_shared(rows, plan, outer)
 
 
 def _backward_workspace(
-    last: AffineParams, blocks: list[ResidualBlockParams], rows: int, outer: Workspace
+    last: AffineParams, attention: AttentionParams, blocks: list[ResidualBlockParams],
+    rows: int, outer: Workspace,
 ) -> Workspace:
     """A workspace for backward passes of up to ``rows`` rows from ``last``
-    back through ``blocks`` (with their attention), whose temporaries are
+    back through ``attention`` and then ``blocks``, whose temporaries are
     views of five buffers at the front of ``outer``'s scratch vector, so
     that every block reuses the same ones.
 
     ``G`` holds the gradient that flows between layers: ``last``'s input
-    gradient, each attention's (computed in place) and each block's. In a
+    gradient, the attention's (computed in place) and each block's. In a
     block, ``P`` keeps the gradient before the output ReLU for the
     shortcut, ``T1`` and ``T2`` take the stages in turn, and ``S`` is each
     batch norm's scratch; the block's input gradient goes into ``G``,
     whose incoming gradient the output ReLU has read.
     """
     G, P, T1, T2, S = range(5)
-    plan = [(G, last, "dx", last.W.shape[1])]
+    w = last.W.shape[1]
+    plan = [
+        (G, last, "dx", w),
+        (G, attention, "dZ", w), (T1, attention, "dS", w), (T2, attention, "scratch", w),
+    ]
     for block in blocks:
         w, w_in = block.bn1.gamma.size, block.affine1.W.shape[1]
         plan += [
-            (G, block.attention, "dZ", w), (T1, block.attention, "dS", w),
-            (T2, block.attention, "scratch", w),
             (P, block, "dpre", w), (T1, block.bn2, "dx", w), (S, block.bn2, "scratch", w),
             (T2, block.affine2, "dx", w), (T1, block, "dn1", w),
             (T2, block.bn1, "dx", w), (S, block.bn1, "scratch", w),

@@ -1,14 +1,13 @@
-"""Model assembly: an input affine map, a stack of residual blocks, each
-optionally followed by its own feature attention layer, and a single-logit
-output head.
+"""Model assembly: an input affine map, a stack of residual blocks, one
+feature attention layer after the last block, and a single-logit output
+head.
 
-Parameters live in plain dataclasses of float64 arrays; a block's
-attention layer lives in the block. Everything that needs to walk the
-parameter tree (the optimizer, the gradient checker, persistence) goes
-through :func:`named_parameters` / :func:`named_state`, which walk the
-dataclass fields depth first and yield (dotted-name, array) pairs in that
-fixed order; the arrays are the live objects, so in-place updates through
-them update the model.
+Parameters live in plain dataclasses of float64 arrays. Everything that
+needs to walk the parameter tree (the optimizer, the gradient checker,
+persistence) goes through :func:`named_parameters` / :func:`named_state`,
+which walk the dataclass fields depth first and yield (dotted-name, array)
+pairs in that fixed order; the arrays are the live objects, so in-place
+updates through them update the model.
 """
 
 from __future__ import annotations
@@ -56,13 +55,10 @@ class ArchitectureConfig:
     ``input_width`` is the output width of the input affine map;
     ``block_widths`` gives each residual block's output width (a block
     whose input and output widths differ gets a projection shortcut).
-    ``attention_after_each`` inserts an attention layer after every block
-    instead of only after the last one.
     """
 
     input_width: int = 64
     block_widths: tuple[int, ...] = (64, 64, 64)
-    attention_after_each: bool = False
     init_seed: int = 0
     bn_eps: float = 1e-5
     bn_momentum: float = 0.9
@@ -78,23 +74,15 @@ class ArchitectureConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Ordered parameter blocks defining the network.
-
-    Each block carries the attention layer that follows it
-    (``blocks[i].attention``, None where there is none). The default wiring
-    has exactly one attention layer, after the final block, exposed as
-    ``attention``.
-    """
+    """Ordered parameter blocks defining the network, in the order the
+    layers run: ``attention`` follows the last block."""
 
     input_affine: AffineParams
     blocks: list[ResidualBlockParams]
+    attention: AttentionParams
     output_affine: AffineParams
     n_features: int
     arch: ArchitectureConfig = field(repr=False)
-
-    @property
-    def attention(self) -> AttentionParams | None:
-        return self.blocks[-1].attention
 
 
 def _zeros_affine(n_out: int, n_in: int) -> AffineParams:
@@ -116,13 +104,8 @@ def _alloc_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
     """Build the parameter structure with zero weights and identity norms."""
     blocks: list[ResidualBlockParams] = []
     in_width = arch.input_width
-    for i, out_width in enumerate(arch.block_widths):
+    for out_width in arch.block_widths:
         projection = _zeros_affine(out_width, in_width) if in_width != out_width else None
-        attention = None
-        if arch.attention_after_each or i == len(arch.block_widths) - 1:
-            attention = AttentionParams(
-                W_a=np.zeros((out_width, out_width)), b_a=np.zeros(out_width)
-            )
         blocks.append(
             ResidualBlockParams(
                 affine1=_zeros_affine(out_width, in_width),
@@ -130,13 +113,13 @@ def _alloc_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
                 affine2=_zeros_affine(out_width, out_width),
                 bn2=_zeros_bn(out_width, arch),
                 projection=projection,
-                attention=attention,
             )
         )
         in_width = out_width
     return ModelParams(
         input_affine=_zeros_affine(arch.input_width, n_features),
         blocks=blocks,
+        attention=AttentionParams(W_a=np.zeros((in_width, in_width)), b_a=np.zeros(in_width)),
         output_affine=_zeros_affine(1, in_width),
         n_features=n_features,
         arch=arch,
@@ -209,9 +192,13 @@ def _plan(model: ModelParams, ws: Workspace, rows: int, backward: bool) -> Works
     if plan is None or capacity < rows:
         capacity = max(capacity, rows)
         if not backward:
-            plan = _rotating_workspace(model.input_affine, model.blocks, capacity, ws)
+            plan = _rotating_workspace(
+                model.input_affine, model.blocks, model.attention, capacity, ws
+            )
         else:
-            plan = _backward_workspace(model.output_affine, model.blocks, capacity, ws)
+            plan = _backward_workspace(
+                model.output_affine, model.attention, model.blocks, capacity, ws
+            )
             tensors = _tensors(model, state=False)
             if ws.arena_key is not model:
                 ws.arena, ws.gradients = _end_to_end({name: t.shape for name, t, _, _ in tensors})
@@ -233,7 +220,7 @@ def model_forward(
 
     Returns ``(logits, cache)``; the cache (None unless requested) feeds
     :func:`model_backward` and is shaped like the model:
-    ``(X, [(block_cache, attention_cache or None), ...], h_last)``.
+    ``(X, [block_cache, ...], attention_cache, h_last)``.
     Forward is deterministic: the same parameters and batch give
     bitwise-identical logits, with or without a cache.
 
@@ -253,17 +240,15 @@ def model_forward(
     ws = Workspace() if ws is None else ws
     if not want_cache:
         ws = _plan(model, ws, X.shape[0], backward=False)
-    steps = []
+    block_caches = []
     h = affine_forward(model.input_affine, X, ws)
     for block in model.blocks:
         h, block_cache = residual_block_forward(block, h, mode, ws)
-        attn_cache = None
-        if block.attention is not None:
-            h, attn_cache = attention_forward(block.attention, h, ws)
         if want_cache:
-            steps.append((block_cache, attn_cache))
+            block_caches.append(block_cache)
+    h, attention_cache = attention_forward(model.attention, h, ws)
     logits = affine_forward(model.output_affine, h, ws)[:, 0]
-    return logits, ((X, steps, h) if want_cache else None)
+    return logits, ((X, block_caches, attention_cache, h) if want_cache else None)
 
 
 def model_backward(
@@ -288,11 +273,10 @@ def model_backward(
         raise ValueError("model_backward requires the forward cache")
     ws = Workspace() if ws is None else ws
     plan = _plan(model, ws, dlogits.shape[0], backward=True)
-    X, steps, h_last = cache
+    X, block_caches, attention_cache, h_last = cache
     dh, *_ = affine_backward(model.output_affine, h_last, dlogits.reshape(-1, 1), plan)
-    for block, (block_cache, attn_cache) in zip(model.blocks[::-1], steps[::-1]):
-        if block.attention is not None:
-            dh, *_ = attention_backward(block.attention, attn_cache, dh, plan)
+    dh, *_ = attention_backward(model.attention, attention_cache, dh, plan)
+    for block, block_cache in zip(model.blocks[::-1], block_caches[::-1]):
         dh, _ = residual_block_backward(block, block_cache, dh, plan)
     affine_param_backward(model.input_affine, X, dh, plan)
     return ws.gradients

@@ -2,7 +2,7 @@
 
 Layout, line by line:
 
-    ddosflow-model 1
+    ddosflow-model 2
     manifest {... one-line JSON: architecture, n_features, extras ...}
     tensor <dotted-name> <ndim> <dim0> [<dim1>]
     <values, one row per line, 17-significant-digit decimals>
@@ -27,7 +27,7 @@ from .model import ArchitectureConfig, ModelParams, _alloc_model, named_paramete
 
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _MAGIC = "ddosflow-model"
 
 

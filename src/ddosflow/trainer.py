@@ -227,10 +227,7 @@ class Detector:
     @classmethod
     def from_manifest(cls, model: ModelParams, extra: dict) -> Detector:
         """The detector of a loaded model, ``load_model``'s pair; a
-        ValueError names the faulty entry.
-
-        A file without the label entries takes :class:`DataConfig`'s defaults.
-        """
+        ValueError names the missing or faulty entry."""
         names = _manifest_entry(extra, "feature_names", _column_names)
         scaler = ScalerParams(
             means=_manifest_entry(extra, "scaler_means", _vector),
@@ -243,7 +240,9 @@ class Detector:
                 f"and {len(scaler.means)} columns for a model of {model.n_features} features"
             )
         threshold = _manifest_entry(extra, "threshold", _threshold)
-        labels = {f.name: extra[f.name] for f in dataclasses.fields(DataConfig) if f.name in extra}
+        labels = {
+            f.name: _manifest_entry(extra, f.name, lambda v: v) for f in dataclasses.fields(DataConfig)
+        }
         try:
             data = _from_dict(DataConfig(), labels, "data")
         except ConfigError as exc:

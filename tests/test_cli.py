@@ -3,12 +3,16 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddosflow
 from ddosflow.cli import _stage, main
 from ddosflow.config import DataConfig, default_config, dumps_config, loads_config
 from ddosflow.flow_data import load_feature_matrix
@@ -31,7 +35,7 @@ def write_fast_config(tmp_path, **extra_sections):
     return str(path)
 
 
-def make_data(tmp_path, name="flows.csv", seed=0, majority=120, minority=30):
+def make_data(tmp_path, name="flows.csv", seed=0, majority=120, minority=30, n_features=4):
     path = tmp_path / name
     rc = main(
         [
@@ -39,7 +43,7 @@ def make_data(tmp_path, name="flows.csv", seed=0, majority=120, minority=30):
             "--out", str(path),
             "--n-majority", str(majority),
             "--n-minority", str(minority),
-            "--n-features", "4",
+            "--n-features", str(n_features),
             "--seed", str(seed),
         ]
     )
@@ -153,7 +157,7 @@ PINNED_ARTIFACTS = {
     "default": (
         {},
         {
-            "model.txt": "f39529c030d6af97eed11bbdb8da5a3a7b48196ce3d7e2cf764f90253446cb0a",
+            "model.txt": "64a18a84bb312416024a57ec600d4bbee80b483558e82a2304e5c5ac639ca1d9",
             "train_report.csv": "1932924986db565a678a113786fcdd85d1cc421ce73777120d51e30151be4657",
             "eval_report.txt": "b20b79b9263738ac150647bc9794b650cf78f92477eb46fd7ea4995f3117e4ed",
             "eval_report.kv": "a020ade51020d616d0b659a88697f087eb8a17c690bb0b7010213186a3642388",
@@ -161,16 +165,16 @@ PINNED_ARTIFACTS = {
             "predictions.csv": "91acb343e838c922fa5084e13fe502e3923d667167781429f4a2596e18e06631",
         },
     ),
-    # projection shortcut on block 1 and an attention layer after each block
-    "projection-attention-each": (
-        {"architecture": {"block_widths": [8, 6], "attention_after_each": True}},
+    # a projection shortcut on block 1
+    "projection": (
+        {"architecture": {"block_widths": [8, 6]}},
         {
-            "model.txt": "922498a25566fceef7530167fb3314bd3336c60e4a5496cdba2bd05501fd1095",
-            "train_report.csv": "ae8a491508a4093ad49b8a9f073d1f6e8f097bcf5943663dff6e8ef20ca0a894",
-            "eval_report.txt": "b011a3a6ccdac9230ef1b23908b192cb79a7aded0d97bacaaf40f676f744521f",
-            "eval_report.kv": "e14b7d195209a2338757f250b6dc170fc3a5ad887cfbf1ef252318c889ef9b40",
-            "capture_report.kv": "01da2e3f82e0cf96938f2399d7179e7d2962ae56a6b07b8d09577edb06cf5af8",
-            "predictions.csv": "1414d9e7c7b79a1d752c5d4384b3cf51d4343cc332995681c695f7b20474d537",
+            "model.txt": "b9be51e84bea467cb022a5bfc9c648497dddcc6bf340e785e84292f12386d72f",
+            "train_report.csv": "9a173ab85478f076be3b779707c8d4037c5683716d88d13f5911c5c545050441",
+            "eval_report.txt": "d618dfa9fdcc9e56faf19b554c7c09e7cf2a7522055da346a52103988b7a6a47",
+            "eval_report.kv": "48a2c43a3b869c3d527a45a93bf9f5951c0f280811b3d87226bca15a70fe9764",
+            "capture_report.kv": "186d67c9f5cb023fe7b407f01a27df65773668d3e70215e8d05c5a3296768fb2",
+            "predictions.csv": "e2e05b62d372414efb1933de2a81de825dfbb32201c61c192343fa1b1120dc10",
         },
     ),
 }
@@ -196,6 +200,31 @@ def test_train_artifacts_match_pinned_digests(tmp_path, wiring):
     assert got == digests
 
 
+def test_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A 78-feature file at batch 256 reaches weight-gradient products that
+    OpenBLAS would split over the batch rows across threads; train writes
+    the same bytes with one BLAS thread as with two."""
+    data = make_data(tmp_path, majority=3000, minority=300, n_features=78)
+    config = tmp_path / "epochs.json"
+    config.write_text(json.dumps({"train": {"epochs_phase1": 2, "epochs_phase2": 2}}))
+    src = str(Path(ddosflow.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        argv = ["train", "--data", data, "--config", str(config), "--out", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-m", "ddosflow.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append([(out / name).read_bytes() for name in ("model.txt", "train_report.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_train_seed_override_changes_model(tmp_path):
     data = make_data(tmp_path)
     cfg = write_fast_config(tmp_path)
@@ -216,6 +245,14 @@ def test_train_invalid_config(tmp_path, capsys):
     rc, _ = run_train(tmp_path, data, config=str(bad))
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_train_refuses_the_removed_attention_switch(tmp_path, capsys):
+    data = make_data(tmp_path)
+    config = write_fast_config(tmp_path, architecture={"attention_after_each": False})
+    rc, _ = run_train(tmp_path, data, config=config)
+    assert rc == 1
+    assert "unknown config key architecture.'attention_after_each'" in capsys.readouterr().err
 
 
 def test_train_unparseable_config(tmp_path, capsys):
@@ -634,20 +671,42 @@ def test_scoring_names_a_wrongly_typed_manifest_entry(trained, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-def test_scoring_model_without_label_entries_takes_the_defaults(trained, tmp_path):
+def test_scoring_model_without_a_label_entry_is_a_data_error_naming_it(trained, tmp_path, capsys):
+    data, model = trained
+    for key in ("label_column", "benign_token", "attack_token"):
+        lines = Path(model).read_text().splitlines()
+        manifest = json.loads(lines[1][len("manifest "):])
+        del manifest[key]
+        lines[1] = "manifest " + json.dumps(manifest, sort_keys=True)
+        bad = tmp_path / f"without_{key}.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for command in ("evaluate", "predict"):
+            assert main([command, "--model", str(bad), "--data", data, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"data error: load-model: {bad}: model file lacks manifest entry {key!r}" in err, err
+
+
+def test_scoring_a_version_1_model_file_is_refused(trained, tmp_path, capsys):
+    """A file in the format before the model owned its attention layer (the
+    manifest's ``attention_after_each``, the layer's tensors named as the
+    last block's) stops on its first line."""
     data, model = trained
     lines = Path(model).read_text().splitlines()
+    assert lines[0] == "ddosflow-model 2"
     manifest = json.loads(lines[1][len("manifest "):])
-    for key in ("label_column", "benign_token", "attack_token"):
-        del manifest[key]
-    lines[1] = "manifest " + json.dumps(manifest, sort_keys=True)
-    older = tmp_path / "older_model.txt"
-    older.write_text("\n".join(lines) + "\n")
-    for name, path in (("new.csv", model), ("old.csv", str(older))):
-        out = tmp_path / name
-        assert main(["predict", "--model", path, "--data", data, "--out", str(out)]) == 0
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert main(["evaluate", "--model", str(older), "--data", data]) == 0
+    manifest["architecture"]["attention_after_each"] = False
+    last = len(manifest["architecture"]["block_widths"]) - 1
+    old = tmp_path / "version_1.txt"
+    old.write_text("\n".join([
+        "ddosflow-model 1",
+        "manifest " + json.dumps(manifest, sort_keys=True),
+        *(line.replace("tensor attention.", f"tensor blocks.{last}.attention.") for line in lines[2:]),
+    ]) + "\n")
+    for command in ("evaluate", "predict"):
+        assert main([command, "--model", str(old), "--data", data, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: load-model: {old}: unsupported format version 1" in err, err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("labels", [None, ("class", "normal", "attack")], ids=["default", "relabeled"])

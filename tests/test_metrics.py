@@ -99,6 +99,16 @@ def test_accuracy_exact_for_integer_counts():
     assert accuracy(c) == 0.75
 
 
+@pytest.mark.parametrize("pred, expected", [(1, 1.0), (0, 0.0)], ids=["tp", "fn"])
+def test_one_row_confusion_scores_its_one_row(pred, expected):
+    c = confusion(np.array([pred]), np.array([1]))
+    assert (c.tp, c.fn, c.total) == (pred, 1 - pred, 1)
+    assert accuracy(c) == expected
+    report = build_report(np.array([pred]), np.array([0.7 if pred else 0.3]), np.array([1]))
+    assert report.accuracy == expected
+    assert report.recall == expected
+
+
 # ------------------------------------------------------------------ AUC
 
 def test_auc_hand_example_with_tied_ranks():

@@ -14,6 +14,7 @@ from ddosflow.nn import (
     save_model,
 )
 from ddosflow.nn.model import named_state
+from ddosflow.nn.persist import FORMAT_VERSION
 
 
 @pytest.fixture
@@ -83,7 +84,6 @@ def test_architecture_flags_survive(tmp_path):
     arch = ArchitectureConfig(
         input_width=4,
         block_widths=(4, 7),
-        attention_after_each=True,
         init_seed=3,
         bn_momentum=0.8,
     )
@@ -93,7 +93,7 @@ def test_architecture_flags_survive(tmp_path):
     loaded, _ = load_model(path)
     assert loaded.arch == arch
     assert len(loaded.blocks) == 2
-    assert all(b.attention is not None for b in loaded.blocks)
+    assert loaded.attention.W_a.shape == (7, 7)
     assert loaded.blocks[1].projection is not None
 
 
@@ -124,9 +124,9 @@ def test_rejects_empty_file(tmp_path):
 
 def test_rejects_future_version(model, tmp_path):
     path = write_and_mutate(
-        model, tmp_path, lambda ls: [ls[0].replace(" 1", " 99")] + ls[1:]
+        model, tmp_path, lambda ls: [ls[0].replace(f" {FORMAT_VERSION}", " 99")] + ls[1:]
     )
-    with pytest.raises(ValueError, match="unsupported format version"):
+    with pytest.raises(ValueError, match="unsupported format version 99$"):
         load_model(path)
 
 

@@ -74,8 +74,9 @@ def test_config_validation():
         TrainConfig(lambda_anchor=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(loss_phase1="hinge")
-    with pytest.raises(ValueError):
-        TrainConfig(threshold=1.0)
+    for bound in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+            TrainConfig(threshold=bound)
     with pytest.raises(ValueError):
         TrainConfig(eps_dice=0.0)
 

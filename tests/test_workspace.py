@@ -171,11 +171,12 @@ def test_adagrad_matches_allocating_reference():
 
 WIRINGS = [
     ArchitectureConfig(input_width=8, block_widths=(8, 8)),
-    ArchitectureConfig(input_width=8, block_widths=(8, 6), attention_after_each=True),
+    ArchitectureConfig(input_width=8, block_widths=(8, 6)),
 ]
+WIRING_IDS = ["identity", "projection"]
 
 
-@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+@pytest.mark.parametrize("arch", WIRINGS, ids=WIRING_IDS)
 def test_shared_workspace_trains_like_fresh_workspaces(arch, monkeypatch):
     """Steps, a shorter last batch and scoring passes through one workspace
     give the bits of the same calls each with a fresh workspace."""
@@ -202,7 +203,7 @@ def test_shared_workspace_trains_like_fresh_workspaces(arch, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["infer", "train"])
-@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+@pytest.mark.parametrize("arch", WIRINGS, ids=WIRING_IDS)
 def test_uncached_pass_gives_the_cached_logits(arch, mode, monkeypatch):
     """The pass without a cache runs the layers on three rotating buffers;
     its logits (and, in train mode, running statistics) are those of the
@@ -227,7 +228,7 @@ def test_uncached_pass_gives_the_cached_logits(arch, mode, monkeypatch):
         assert_same_bits([proba[128:]], [predict_proba(keeping, X[128:])])
 
 
-@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+@pytest.mark.parametrize("arch", WIRINGS, ids=WIRING_IDS)
 def test_backward_through_shared_buffers_matches_layer_by_layer(arch):
     """model_backward, whose blocks share five temporaries and write the
     gradients into one arena, gives the bits of the layers' backward
@@ -239,17 +240,16 @@ def test_backward_through_shared_buffers_matches_layer_by_layer(arch):
         X, dlogits = rows(rng, m, 5), rng.standard_normal(m)
         _, cache = model_forward(shared, X, mode="train", want_cache=True, ws=ws)
         got = model_backward(shared, cache, dlogits, ws)
-        _, (_, steps, h_last) = model_forward(twin, X, mode="train", want_cache=True)
+        _, twin_cache = model_forward(twin, X, mode="train", want_cache=True)
+        _, block_caches, attn_cache, h_last = twin_cache
         dh, *want_output = affine_backward(twin.output_affine, h_last, dlogits.reshape(-1, 1))
+        dh, *want_attention = attention_backward(twin.attention, attn_cache, dh)
         want_blocks = []
-        for block, (block_cache, attn_cache) in zip(twin.blocks[::-1], steps[::-1]):
-            attn = []
-            if block.attention is not None:
-                dh, *attn = attention_backward(block.attention, attn_cache, dh)
+        for block, block_cache in zip(twin.blocks[::-1], block_caches[::-1]):
             dh, grads = residual_block_backward(block, block_cache, dh)
-            want_blocks[:0] = grads + attn
+            want_blocks[:0] = grads
         _, *want_input = affine_backward(twin.input_affine, X, dh)
-        assert_same_bits(list(got.values()), want_input + want_blocks + want_output)
+        assert_same_bits(list(got.values()), want_input + want_blocks + want_attention + want_output)
 
 
 def test_gradients_without_a_workspace_belong_to_the_caller():
@@ -405,7 +405,7 @@ def test_backward_adagrad_and_scoring_share_one_scratch_vector(monkeypatch):
     assert peak_rise(step_and_score) < 24 * m * width * 8
 
 
-@pytest.mark.parametrize("arch", WIRINGS, ids=["identity", "projection-attention-each"])
+@pytest.mark.parametrize("arch", WIRINGS, ids=WIRING_IDS)
 def test_anchors_on_a_training_workspace_match_a_fresh_one(arch, monkeypatch):
     """Anchors scored through the workspace that training used, whose
     scratch vector grows when the scoring chunks outsize the batches, have
