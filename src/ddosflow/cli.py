@@ -49,6 +49,7 @@ from .smote import neighbor_count, oversample, synthetic_count
 from .synth import SyntheticSpec, write_synthetic_csv
 from .trainer import (
     Detector,
+    _threshold,
     classify,
     predict_proba,  # noqa: F401
     run_dual_phase,
@@ -85,10 +86,11 @@ _OVERRIDES = {"threshold": "train", "tolerance": "gradcheck"}
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """The ``--config`` file (or the defaults) with ``--seed`` and the
-    ``_OVERRIDES`` applied; an override is checked as a config file value is."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
-    if getattr(args, "seed", None) is not None:
+    """``train``'s or ``gradcheck``'s ``--config`` file (or the defaults) with
+    ``--seed`` and the ``_OVERRIDES`` applied; an override is checked as a
+    config file value is."""
+    cfg = load_config(args.config) if args.config else default_config()
+    if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     doc = config_to_dict(cfg)
     for option, section in _OVERRIDES.items():
@@ -99,8 +101,8 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _scoring_model(args: argparse.Namespace) -> Detector:
     """Load and check ``--model`` before any capture is read; ``--threshold``
-    overrides its threshold. Every fault in the file is a DataError that
-    names the file."""
+    overrides its threshold, checked as the config's ``train.threshold`` is.
+    Every fault in the file is a DataError that names the file."""
     with _stage("load-model"):
         try:
             model, extra = load_model(args.model)  # its errors name the file
@@ -111,7 +113,7 @@ def _scoring_model(args: argparse.Namespace) -> Detector:
         except ValueError as exc:
             raise DataError(f"{args.model}: {exc}") from exc
     if args.threshold is not None:
-        detector = dataclasses.replace(detector, threshold=_load_pipeline_config(args).train.threshold)
+        detector = dataclasses.replace(detector, threshold=_threshold(args.threshold))
     return detector
 
 

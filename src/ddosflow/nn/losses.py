@@ -18,6 +18,7 @@ from .layers import sigmoid
 __all__ = [
     "BASE_LOSSES",
     "BCE_CLAMP",
+    "DICE_EPS",
     "LossSpec",
     "bce_loss",
     "dice_loss",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 BCE_CLAMP = 1e-12  # probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]
+DICE_EPS = 1.0  # the Dice coefficient's smoothing term, in numerator and denominator
 BASE_LOSSES = ("bce", "dice")  # the objectives "anchored" can build on
 
 
@@ -35,12 +37,10 @@ class LossSpec:
 
     ``kind`` is one of "bce", "dice", or "anchored"; for "anchored",
     ``base`` names the underlying objective and ``lambda_anchor`` weights
-    the squared-deviation penalty. ``eps_dice`` is the Dice smoothing
-    constant.
+    the squared-deviation penalty.
     """
 
     kind: str
-    eps_dice: float = 1.0
     base: str = "dice"
     lambda_anchor: float = 0.0
 
@@ -49,8 +49,6 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.base not in BASE_LOSSES:
             raise ValueError(f"unknown base loss {self.base!r}")
-        if self.eps_dice <= 0:
-            raise ValueError("eps_dice must be positive")
         if self.lambda_anchor < 0:
             raise ValueError("lambda_anchor must be non-negative")
 
@@ -78,35 +76,29 @@ def bce_loss(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def dice_loss(
-    logits: np.ndarray, targets: np.ndarray, eps_dice: float = 1.0
-) -> tuple[float, np.ndarray]:
+def dice_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Complement of the smoothed soft overlap coefficient.
 
     With ``p = sigmoid(logits)`` flattened:
-    ``loss = 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps)``.
-    Returns the gradient with respect to the logits. Always in [0, 1)
-    for positive eps (up to float saturation of the sigmoid).
+    ``loss = 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps)``
+    with ``eps = DICE_EPS``. Returns the gradient with respect to the
+    logits. Always in [0, 1) (up to float saturation of the sigmoid).
     """
     logits = np.asarray(logits, dtype=np.float64).ravel()
     targets = np.asarray(targets, dtype=np.float64).ravel()
     _check_lengths(logits, targets)
-    if eps_dice <= 0:
-        raise ValueError("eps_dice must be positive")
     p = sigmoid(logits)
     intersection = float((p * targets).sum())
-    denom = float(p.sum() + targets.sum() + eps_dice)
-    coeff = (2.0 * intersection + eps_dice) / denom
+    denom = float(p.sum() + targets.sum() + DICE_EPS)
+    coeff = (2.0 * intersection + DICE_EPS) / denom
     loss = 1.0 - coeff
     # d/dp_i of coeff = (2*t_i*denom - (2*I+eps)) / denom^2
-    dcoeff_dp = (2.0 * targets * denom - (2.0 * intersection + eps_dice)) / denom**2
+    dcoeff_dp = (2.0 * targets * denom - (2.0 * intersection + DICE_EPS)) / denom**2
     dlogits = -dcoeff_dp * p * (1.0 - p)
     return loss, dlogits
 
 
-def _base_loss(
-    logits: np.ndarray, y: np.ndarray, base: str, eps_dice: float
-) -> tuple[float, np.ndarray]:
+def _base_loss(logits: np.ndarray, y: np.ndarray, base: str) -> tuple[float, np.ndarray]:
     """BCE (its probability gradient chained through the sigmoid) or Dice,
     with the gradient with respect to the logits."""
     if base == "bce":
@@ -114,7 +106,7 @@ def _base_loss(
         loss, dldp = bce_loss(p, y)
         return loss, dldp * p * (1.0 - p)
     if base == "dice":
-        return dice_loss(logits, y, eps_dice)
+        return dice_loss(logits, y)
     raise ValueError(f"unknown base loss {base!r}")
 
 
@@ -124,7 +116,6 @@ def anchored_loss(
     anchors: np.ndarray,
     lambda_anchor: float,
     base: str = "dice",
-    eps_dice: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Base objective plus a squared-deviation penalty toward anchors.
 
@@ -143,7 +134,7 @@ def anchored_loss(
     if lambda_anchor < 0:
         raise ValueError("lambda_anchor must be non-negative")
 
-    base_value, dbase = _base_loss(logits, y, base, eps_dice)
+    base_value, dbase = _base_loss(logits, y, base)
     if lambda_anchor == 0.0:
         return base_value, dbase
 
@@ -166,9 +157,7 @@ def apply_loss(
     is chained through the sigmoid.
     """
     if spec.kind != "anchored":
-        return _base_loss(logits, y, spec.kind, spec.eps_dice)
+        return _base_loss(logits, y, spec.kind)
     if anchors is None:
         raise ValueError("anchored loss requires an anchor vector")
-    return anchored_loss(
-        logits, y, anchors, spec.lambda_anchor, spec.base, spec.eps_dice
-    )
+    return anchored_loss(logits, y, anchors, spec.lambda_anchor, spec.base)

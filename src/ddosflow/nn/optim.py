@@ -9,12 +9,14 @@ import numpy as np
 from .layers import Workspace, _end_to_end
 from .model import ModelParams, named_parameters
 
-__all__ = ["OptimizerState", "init_optimizer", "adagrad_step"]
+__all__ = ["ADAGRAD_EPS", "OptimizerState", "init_optimizer", "adagrad_step"]
+
+ADAGRAD_EPS = 1e-10  # added to the accumulator under the square root
 
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Learning rate, smoothing term, and the accumulator.
+    """Learning rate and the accumulator.
 
     ``G`` is the running sum of squared gradients of every tensor, one flat
     vector laid out in :func:`named_parameters` order, and ``accum`` maps
@@ -23,21 +25,16 @@ class OptimizerState:
     """
 
     eta: float = 0.01
-    eps_opt: float = 1e-10
     G: np.ndarray = field(default_factory=lambda: np.zeros(0))
     accum: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_optimizer(
-    model: ModelParams, eta: float = 0.01, eps_opt: float = 1e-10
-) -> OptimizerState:
+def init_optimizer(model: ModelParams, eta: float = 0.01) -> OptimizerState:
     """Fresh state with zero accumulators matching the model's tensors."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if eps_opt < 0.0:
-        raise ValueError(f"eps_opt must be non-negative, got {eps_opt}")
     G, accum = _end_to_end({name: tensor.shape for name, tensor in named_parameters(model)})
-    return OptimizerState(eta=eta, eps_opt=eps_opt, G=G, accum=accum)
+    return OptimizerState(eta=eta, G=G, accum=accum)
 
 
 def adagrad_step(
@@ -46,7 +43,7 @@ def adagrad_step(
     grads: dict[str, np.ndarray],
     ws: Workspace | None = None,
 ) -> None:
-    """One update: ``G += g**2`` then ``w -= eta * g / sqrt(G + eps)``.
+    """One update: ``G += g**2`` then ``w -= eta * g / sqrt(G + ADAGRAD_EPS)``.
 
     The accumulator is folded in before the update, so the step uses the
     post-accumulation G. Parameters and state are updated in place.
@@ -80,7 +77,7 @@ def adagrad_step(
     step, denom = ws.scratch_views(g.size, g.size)
     state.G += np.multiply(g, g, out=step)
     np.multiply(g, state.eta, out=step)
-    step /= np.sqrt(np.add(state.G, state.eps_opt, out=denom), out=denom)
+    step /= np.sqrt(np.add(state.G, ADAGRAD_EPS, out=denom), out=denom)
     offset = 0
     for name in state.accum:
         w = params[name]

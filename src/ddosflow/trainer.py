@@ -3,8 +3,9 @@
 Phase 1 trains on the original (imbalanced, scaled) flows with a plain
 loss. Its frozen predictions on the oversampled set become anchors, and
 phase 2 trains on the oversampled set with an anchor penalty that pulls
-predictions back toward the phase-1 values. Both phases share one
-shuffle stream so a zero-penalty phase 2 continues phase 1 exactly.
+predictions back toward the phase-1 values. Phase 2 continues phase 1's
+shuffle stream with a fresh Adagrad accumulator, so a zero-penalty phase 2
+is a plain run with a fresh accumulator on the continued shuffle stream.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .nn import (
     sigmoid,
 )
 from .nn.losses import BASE_LOSSES
+from .nn.model import named_state
 
 __all__ = [
     "TrainConfig",
@@ -54,10 +56,6 @@ class TrainConfig:
 
     The anchor penalty is a raw per-batch sum, so lambda_anchor's
     effective strength grows with batch_size.
-
-    reset_optimizer_phase2 gives phase 2 a fresh Adagrad accumulator
-    (the default); switching it off makes a zero-penalty phase 2 an
-    exact continuation of phase 1.
     """
 
     epochs_phase1: int = 50
@@ -69,9 +67,6 @@ class TrainConfig:
     loss_phase2_base: str = "dice"
     threshold: float = 0.5
     seed: int = 0
-    eps_dice: float = 1.0
-    eps_opt: float = 1e-10
-    reset_optimizer_phase2: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
@@ -88,8 +83,6 @@ class TrainConfig:
             raise ValueError(f"loss_phase2_base must be one of {BASE_LOSSES}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
-        if self.eps_dice <= 0 or self.eps_opt <= 0:
-            raise ValueError("smoothing constants must be positive")
 
 
 @dataclass(frozen=True)
@@ -280,11 +273,15 @@ class Detector:
         return proba
 
 
-def _epoch_accuracy(
-    model: ModelParams, X: np.ndarray, y: np.ndarray, threshold: float, ws: Workspace
-) -> float:
-    pred = classify(predict_proba(model, X, ws=ws), threshold)
-    return float((pred == y).mean())
+def _stop_if_diverged(phase: int, epoch: int, **parts: list[np.ndarray]) -> None:
+    """A ValueError naming the phase, the epoch and the first of ``parts``
+    (named lists of arrays) that holds a NaN or an infinity."""
+    for what, arrays in parts.items():
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(
+                f"training diverged in phase {phase} epoch {epoch}: non-finite {what} "
+                "(a smaller train.eta or train.lambda_anchor may help)"
+            )
 
 
 def _run_epochs(
@@ -305,45 +302,45 @@ def _run_epochs(
 
     One workspace serves every step and accuracy pass of the phase, so
     after the first epoch a step allocates no batch, activation or
-    gradient arrays."""
+    gradient arrays. The first epoch whose loss, model tensors or scores
+    hold a NaN or an infinity stops the phase with a ValueError; NumPy's
+    overflow and invalid-value warnings on the way there are silenced."""
     if dataset.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if opt is None:
-        opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
+        opt = init_optimizer(model, eta=cfg.eta)
     t0 = time.perf_counter()
     X, n = dataset.features, dataset.n_rows
     # the losses take float targets; converted once, not once per batch
     y = dataset.labels.astype(np.float64)
     params = dict(named_parameters(model))
+    tensors = [*params.values(), *(t for _, t in named_state(model))]
     ws = Workspace() if ws is None else ws
     records: list[EpochRecord] = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            m = idx.size
-            # the indices are in range; mode "raise" would gather into a temporary
-            X_b = np.take(X, idx, axis=0, out=ws.get("batch", "X", m, X.shape[1]), mode="clip")
-            y_b = np.take(y, idx, out=ws.get("batch", "y", m), mode="clip")
-            a_b = None
-            if anchors is not None:
-                a_b = np.take(anchors, idx, out=ws.get("batch", "anchors", m), mode="clip")
-            loss, grads = model_loss(
-                model, X_b, y_b, spec, mode="train", anchors=a_b, ws=ws
-            )
-            adagrad_step(opt, params, grads, ws)
-            loss_sum += loss * m
-        records.append(
-            EpochRecord(
-                phase=phase,
-                epoch=epoch,
-                loss=loss_sum / n,
-                accuracy=_epoch_accuracy(model, X, dataset.labels, cfg.threshold, ws),
-            )
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                m = idx.size
+                # the indices are in range; mode "raise" would gather into a temporary
+                X_b = np.take(X, idx, axis=0, out=ws.get("batch", "X", m, X.shape[1]), mode="clip")
+                y_b = np.take(y, idx, out=ws.get("batch", "y", m), mode="clip")
+                a_b = None
+                if anchors is not None:
+                    a_b = np.take(anchors, idx, out=ws.get("batch", "anchors", m), mode="clip")
+                loss, grads = model_loss(
+                    model, X_b, y_b, spec, mode="train", anchors=a_b, ws=ws
+                )
+                adagrad_step(opt, params, grads, ws)
+                loss_sum += loss * m
+            proba = predict_proba(model, X, ws=ws)
+            _stop_if_diverged(phase, epoch, loss=[loss_sum], tensors=tensors, scores=[proba])
+            accuracy = float((classify(proba, cfg.threshold) == dataset.labels).mean())
+            records.append(EpochRecord(phase, epoch, loss_sum / n, accuracy))
     return model, TrainReport(tuple(records), time.perf_counter() - t0)
 
 
@@ -361,7 +358,7 @@ def train_phase1(
     lets a caller keep one shuffle stream and accumulator across phases,
     and ``ws`` one set of buffers.
     """
-    spec = LossSpec(kind=cfg.loss_phase1, eps_dice=cfg.eps_dice)
+    spec = LossSpec(kind=cfg.loss_phase1)
     return _run_epochs(model, dataset, spec, cfg, cfg.epochs_phase1, 1, rng, opt, ws=ws)
 
 
@@ -398,7 +395,6 @@ def train_phase2(
         kind="anchored",
         base=cfg.loss_phase2_base,
         lambda_anchor=cfg.lambda_anchor,
-        eps_dice=cfg.eps_dice,
     )
     return _run_epochs(
         model, balanced, spec, cfg, cfg.epochs_phase2, 2, rng, opt, anchors, ws
@@ -413,21 +409,20 @@ def run_dual_phase(
 ) -> tuple[ModelParams, TrainReport, np.ndarray]:
     """Phase 1 on the original flows, then anchored phase 2.
 
-    One shuffle generator is threaded through both phases; the Adagrad
-    accumulator restarts at the phase boundary unless configured not to.
-    One workspace serves the whole run: phase 2 and the anchors reuse
-    phase 1's buffers, since no two of them run at once.
+    One shuffle generator is threaded through both phases, and each phase
+    starts a fresh Adagrad accumulator. One workspace serves the whole run:
+    phase 2 and the anchors reuse phase 1's buffers, since no two of them
+    run at once. Non-finite anchors stop the run as a diverged epoch does.
     Returns the trained model, the merged report, and the anchor vector.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
     ws = Workspace()
     t0 = time.perf_counter()
-    model, rep1 = train_phase1(model, train_set, cfg, rng=rng, opt=opt, ws=ws)
-    anchors = compute_anchors(model, balanced, ws)
-    if cfg.reset_optimizer_phase2:
-        opt = init_optimizer(model, eta=cfg.eta, eps_opt=cfg.eps_opt)
-    model, rep2 = train_phase2(model, balanced, anchors, cfg, rng=rng, opt=opt, ws=ws)
+    model, rep1 = train_phase1(model, train_set, cfg, rng=rng, ws=ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchors = compute_anchors(model, balanced, ws)
+    _stop_if_diverged(1, cfg.epochs_phase1, anchors=[anchors])
+    model, rep2 = train_phase2(model, balanced, anchors, cfg, rng=rng, ws=ws)
     report = TrainReport(
         rep1.records + rep2.records, time.perf_counter() - t0
     )

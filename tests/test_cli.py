@@ -255,6 +255,40 @@ def test_train_refuses_the_removed_attention_switch(tmp_path, capsys):
     assert "unknown config key architecture.'attention_after_each'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("eps_dice", 1.0), ("eps_opt", 1e-10), ("reset_optimizer_phase2", True)])
+def test_train_refuses_the_removed_smoothing_and_reset_keys(tmp_path, capsys, key, value):
+    """The Dice and Adagrad smoothing terms are constants and phase 2 always
+    starts a fresh accumulator, so a config that names one of the old keys,
+    even at its old default, fails before any data is read."""
+    data = make_data(tmp_path)
+    config = write_fast_config(tmp_path, train={key: value})
+    rc, outdir = run_train(tmp_path, data, config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"unknown config key train.{key!r}" in err, err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "train, where",
+    [({"eta": 1e100}, "phase 1 epoch 1"), ({"lambda_anchor": 1e308}, "phase 2 epoch 1")],
+    ids=["eta", "lambda_anchor"],
+)
+def test_training_that_diverges_stops_before_writing_a_model(tmp_path, capsys, train, where):
+    """A step size or anchor weight that the config accepts but that drives
+    the weights, the loss or the scores to inf or NaN stops train at the
+    first such epoch, which the error names, before model.txt or
+    train_report.csv is written; no NumPy warning escapes, as pytest makes
+    each one an error."""
+    data = make_data(tmp_path)
+    rc, outdir = run_train(tmp_path, data, config=write_fast_config(tmp_path, train=train))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.fullmatch(rf"error: train: training diverged in {where}: non-finite \w+ \(.+\)\n", err), err
+    assert not (outdir / "model.txt").exists()
+    assert not (outdir / "train_report.csv").exists()
+
+
 def test_train_unparseable_config(tmp_path, capsys):
     data = make_data(tmp_path)
     bad = tmp_path / "bad.json"

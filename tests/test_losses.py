@@ -75,17 +75,17 @@ def test_bce_gradient_zero_outside_clamp():
 # ------------------------------------------------------------------- dice
 
 def test_dice_empty_empty_overlap():
-    loss, _ = dice_loss(np.full(5, -100.0), np.zeros(5), 1.0)
+    loss, _ = dice_loss(np.full(5, -100.0), np.zeros(5))
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dice_perfect_overlap():
-    loss, _ = dice_loss(np.full(4, 100.0), np.ones(4), 1.0)
+    loss, _ = dice_loss(np.full(4, 100.0), np.ones(4))
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dice_half_probabilities_hand_value():
-    loss, _ = dice_loss(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]), 1.0)
+    loss, _ = dice_loss(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]))
     # p = 0.5 each: D = (2*1 + 1) / (2 + 2 + 1) = 3/5
     assert loss == 1.0 - 3.0 / 5.0 == 0.4
 
@@ -96,14 +96,11 @@ def test_dice_range_property():
         n = int(rng.integers(1, 20))
         logits = rng.normal(size=n) * 10
         targets = rng.integers(0, 2, n).astype(float)
-        eps = float(rng.choice([0.5, 1.0, 2.0]))
-        loss, _ = dice_loss(logits, targets, eps)
+        loss, _ = dice_loss(logits, targets)
         assert 0.0 <= loss < 1.0
 
 
-def test_dice_eps_validation_and_lengths():
-    with pytest.raises(ValueError):
-        dice_loss(np.zeros(2), np.zeros(2), 0.0)
+def test_dice_length_mismatch():
     with pytest.raises(ValueError):
         dice_loss(np.zeros(2), np.zeros(3))
 
@@ -112,8 +109,8 @@ def test_dice_gradient_matches_fd():
     rng = np.random.Generator(np.random.PCG64(3))
     logits = rng.normal(size=10)
     targets = rng.integers(0, 2, 10).astype(float)
-    _, grad = dice_loss(logits, targets, 1.0)
-    numeric = fd_gradient(lambda: dice_loss(logits, targets, 1.0)[0], logits)
+    _, grad = dice_loss(logits, targets)
+    numeric = fd_gradient(lambda: dice_loss(logits, targets)[0], logits)
     np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-10)
 
 
@@ -127,7 +124,7 @@ def test_anchored_lambda_zero_bitwise_base():
     for base in ("dice", "bce"):
         loss, grad = anchored_loss(logits, y, anchors, 0.0, base=base)
         if base == "dice":
-            base_loss, base_grad = dice_loss(logits, y, 1.0)
+            base_loss, base_grad = dice_loss(logits, y)
         else:
             p = sigmoid(logits)
             base_loss, gp = bce_loss(p, y)
@@ -141,7 +138,7 @@ def test_anchored_penalty_zero_at_anchor_equality():
     logits = rng.normal(size=7)
     y = rng.integers(0, 2, 7).astype(float)
     anchors = sigmoid(logits)  # exactly the current predictions
-    base_loss, _ = dice_loss(logits, y, 1.0)
+    base_loss, _ = dice_loss(logits, y)
     loss, _ = anchored_loss(logits, y, anchors, 1e6, base="dice")
     assert loss == base_loss  # penalty contributes exactly 0
 
@@ -151,7 +148,7 @@ def test_anchored_penalty_direct_arithmetic():
     logits = np.zeros(3)
     y = np.array([1.0, 0.0, 1.0])
     anchors = sigmoid(logits) - 0.1
-    base_loss, _ = dice_loss(logits, y, 1.0)
+    base_loss, _ = dice_loss(logits, y)
     loss, _ = anchored_loss(logits, y, anchors, 1.0, base="dice")
     assert loss - base_loss == pytest.approx(0.03, rel=1e-12)
 
@@ -161,7 +158,7 @@ def test_anchored_penalty_is_sum_not_mean():
     y16 = rng.integers(0, 2, 16).astype(float)
     logits16 = np.zeros(16)
     anchors16 = sigmoid(logits16) - 0.1
-    base16, _ = dice_loss(logits16, y16, 1.0)
+    base16, _ = dice_loss(logits16, y16)
     loss16, _ = anchored_loss(logits16, y16, anchors16, 1.0, base="dice")
     assert loss16 - base16 == pytest.approx(16 * 0.01, rel=1e-12)
 
@@ -214,7 +211,5 @@ def test_loss_spec_validation():
         LossSpec(kind="mse")
     with pytest.raises(ValueError):
         LossSpec(kind="anchored", base="mse")
-    with pytest.raises(ValueError):
-        LossSpec(kind="dice", eps_dice=0.0)
     with pytest.raises(ValueError):
         LossSpec(kind="anchored", lambda_anchor=-0.5)

@@ -13,6 +13,7 @@ from ddosflow.nn import (
     model_loss,
     named_parameters,
 )
+from ddosflow.nn.optim import ADAGRAD_EPS
 
 
 def scalar_adagrad(grads, eta, eps):
@@ -34,24 +35,23 @@ def grads_like(params, fill):
 
 
 def test_two_step_recurrence_matches_hand_values():
-    # g = 2 twice with eta = 0.1: first step G=4, w = -0.1*2/sqrt(4) = -0.1;
-    # second step G=8, delta = -0.1*2/sqrt(8) = -0.070711
+    # g = 2 twice with eta = 0.1: first step G=4, w = -0.1*2/sqrt(4 + eps);
+    # second step G=8, delta = -0.1*2/sqrt(8 + eps) = -0.070711
     model = tiny_model()
     params = dict(named_parameters(model))
     w = params["output_affine.b"]
     w[...] = 0.0
-    opt = init_optimizer(model, eta=0.1, eps_opt=0.0)
-    # g = 2 in every tensor, so eps = 0 cannot hit 0/sqrt(0)
+    opt = init_optimizer(model, eta=0.1)
     g = grads_like(params, 2.0)
 
     adagrad_step(opt, params, g)
     assert opt.accum["output_affine.b"][0] == 4.0
-    assert w[0] == pytest.approx(-0.1, rel=1e-12)
+    assert w[0] == pytest.approx(-0.1 * 2.0 / np.sqrt(4.0 + ADAGRAD_EPS), rel=1e-12)
     first = w[0]
 
     adagrad_step(opt, params, g)
     assert opt.accum["output_affine.b"][0] == 8.0
-    assert w[0] - first == pytest.approx(-0.1 * 2.0 / np.sqrt(8.0), rel=1e-12)
+    assert w[0] - first == pytest.approx(-0.1 * 2.0 / np.sqrt(8.0 + ADAGRAD_EPS), rel=1e-12)
     assert w[0] - first == pytest.approx(-0.07071067811865475, rel=1e-9)
 
 
@@ -62,9 +62,9 @@ def test_matches_scalar_oracle_over_random_sequence():
     params = dict(named_parameters(model))
     w = params["output_affine.b"]
     w[...] = 0.0
-    opt = init_optimizer(model, eta=0.01, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.01)
     g = grads_like(params, 0.0)
-    expected = scalar_adagrad(seq, 0.01, 1e-10)
+    expected = scalar_adagrad(seq, 0.01, ADAGRAD_EPS)
     for gval, want in zip(seq, expected):
         g["output_affine.b"] = np.full_like(w, gval)
         adagrad_step(opt, params, g)
@@ -75,7 +75,7 @@ def test_zero_gradient_is_noop():
     model = tiny_model(seed=7)
     params = dict(named_parameters(model))
     before = {n: t.copy() for n, t in params.items()}
-    opt = init_optimizer(model, eta=0.5, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.5)
     adagrad_step(opt, params, grads_like(params, 0.0))
     for name, t in params.items():
         np.testing.assert_array_equal(t, before[name])
@@ -87,7 +87,7 @@ def test_accumulator_never_decreases():
     rng = np.random.Generator(np.random.PCG64(9))
     model = tiny_model(seed=2)
     params = dict(named_parameters(model))
-    opt = init_optimizer(model, eta=0.01, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.01)
     prev = {n: a.copy() for n, a in opt.accum.items()}
     for _ in range(10):
         g = {n: rng.standard_normal(t.shape) for n, t in params.items()}
@@ -101,7 +101,7 @@ def test_updates_mutate_live_arrays_in_place():
     model = tiny_model(seed=4)
     handle = model.blocks[0].affine1.W  # alias taken before stepping
     params = dict(named_parameters(model))
-    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.1)
     adagrad_step(opt, params, grads_like(params, 1.0))
     assert handle is model.blocks[0].affine1.W
     assert params["blocks.0.affine1.W"] is handle
@@ -115,7 +115,7 @@ def test_step_scale_shrinks_with_history():
     params = dict(named_parameters(model))
     w = params["output_affine.b"]
     w[...] = 0.0
-    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.1)
     g = grads_like(params, 0.0)
     g["output_affine.b"] = np.full_like(w, 3.0)
     last, prev_delta = 0.0, np.inf
@@ -150,7 +150,7 @@ def test_outside_gradients_leave_the_workspace_arena_alone():
 def test_gradient_shape_mismatch_rejected():
     model = tiny_model()
     params = dict(named_parameters(model))
-    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.1)
     g = grads_like(params, 1.0)
     g["output_affine.W"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="gradient shape mismatch"):
@@ -160,7 +160,7 @@ def test_gradient_shape_mismatch_rejected():
 def test_missing_gradient_rejected():
     model = tiny_model()
     params = dict(named_parameters(model))
-    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.1)
     g = grads_like(params, 1.0)
     del g["output_affine.W"]
     with pytest.raises(KeyError):
@@ -171,7 +171,7 @@ def test_missing_gradient_rejected():
 def test_params_must_name_exactly_the_optimizers_tensors(edit):
     model = tiny_model()
     params = dict(named_parameters(model))
-    opt = init_optimizer(model, eta=0.1, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.1)
     g = grads_like(params, 1.0)
     if edit == "drop":
         del params["output_affine.W"]
@@ -186,7 +186,7 @@ def test_optimizer_covers_every_parameter():
     model = init_model(
         5, ArchitectureConfig(input_width=4, block_widths=(4, 6), init_seed=3)
     )
-    opt = init_optimizer(model, eta=0.01, eps_opt=1e-10)
+    opt = init_optimizer(model, eta=0.01)
     params = dict(named_parameters(model))
     assert set(opt.accum) == set(params)
     for name, t in params.items():
@@ -197,6 +197,4 @@ def test_optimizer_covers_every_parameter():
 def test_hyperparameter_validation():
     model = tiny_model()
     with pytest.raises(ValueError):
-        init_optimizer(model, eta=0.0, eps_opt=1e-10)
-    with pytest.raises(ValueError):
-        init_optimizer(model, eta=0.1, eps_opt=-1.0)
+        init_optimizer(model, eta=0.0)

@@ -35,6 +35,7 @@ from ddosflow.nn.layers import (
 from ddosflow.flow_data import FlowDataset
 from ddosflow.nn import model as model_module
 from ddosflow.nn.model import named_state
+from ddosflow.nn.optim import ADAGRAD_EPS
 from ddosflow import trainer
 from ddosflow.trainer import TrainConfig, predict_proba, run_dual_phase
 
@@ -92,7 +93,7 @@ def ref_adagrad_step(state, params, grads):
         g = grads[name]
         G = state.accum[name]
         G += g * g
-        w -= state.eta * g / np.sqrt(G + state.eps_opt)
+        w -= state.eta * g / np.sqrt(G + ADAGRAD_EPS)
 
 
 def assert_same_bits(got, want):
@@ -290,13 +291,11 @@ def flow_blobs(n, d, seed):
     return FlowDataset(tuple(f"f{i}" for i in range(d)), features, labels)
 
 
-@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
-def test_arena_adagrad_trains_like_the_allocating_reference(monkeypatch, reset):
+def test_arena_adagrad_trains_like_the_allocating_reference(monkeypatch):
     """Two-phase training with the arena Adagrad, fed its own arena views
     or gradients from outside the arena, gives the bits of the per-tensor
-    reference, across the phase boundary with and without a fresh
-    accumulator."""
-    cfg = TrainConfig(epochs_phase1=2, epochs_phase2=2, batch_size=32, reset_optimizer_phase2=reset)
+    reference in both phases."""
+    cfg = TrainConfig(epochs_phase1=2, epochs_phase2=2, batch_size=32)
     train_set, balanced = flow_blobs(90, 5, 11), flow_blobs(120, 5, 12)
     arena_step = trainer.adagrad_step
     steppers = {
