@@ -24,8 +24,6 @@ import numpy as np
 # replaces apply_scaler and predict_proba, though no command calls them.
 from .config import (
     PipelineConfig,
-    config_from_dict,
-    config_to_dict,
     default_config,
     dumps_config,
     load_config,
@@ -44,7 +42,8 @@ from .flow_data import (
     train_test_split,
 )
 from .metrics import build_report, format_report_kv, format_report_table
-from .nn import ArchitectureConfig, LossSpec, gradient_check, init_model, load_model, save_model
+from .nn import init_model, load_model, save_model
+from .nn.gradcheck import self_check
 from .smote import neighbor_count, oversample, synthetic_count
 from .synth import SyntheticSpec, write_synthetic_csv
 from .trainer import (
@@ -81,22 +80,19 @@ def _stage(name: str):
         raise kind(f"{name}: {exc}") from exc
 
 
-# command-line options that override one config value each, by section
-_OVERRIDES = {"threshold": "train", "tolerance": "gradcheck"}
-
-
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """``train``'s or ``gradcheck``'s ``--config`` file (or the defaults) with
-    ``--seed`` and the ``_OVERRIDES`` applied; an override is checked as a
-    config file value is."""
+    """``train``'s ``--config`` file (or the defaults) with ``--seed`` and
+    ``--threshold`` applied, each checked as a config file value is."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
-    doc = config_to_dict(cfg)
-    for option, section in _OVERRIDES.items():
-        if getattr(args, option, None) is not None:
-            doc[section][option] = getattr(args, option)
-    return config_from_dict(doc)
+        try:
+            cfg = with_seed(cfg, args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed {args.seed}: {exc}") from exc
+    if args.threshold is not None:
+        train = dataclasses.replace(cfg.train, threshold=_threshold(args.threshold))
+        cfg = dataclasses.replace(cfg, train=train)
+    return cfg
 
 
 def _scoring_model(args: argparse.Namespace) -> Detector:
@@ -269,33 +265,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    gc = cfg.gradcheck
-
-    arch = ArchitectureConfig(
-        input_width=gc.input_width,
-        block_widths=gc.block_widths,
-        init_seed=gc.seed,
-    )
-    model = init_model(gc.n_features, arch)
-    rng = np.random.Generator(np.random.PCG64(gc.seed + 1))
-    X = rng.standard_normal((gc.batch_rows, gc.n_features))
-    y = rng.integers(0, 2, gc.batch_rows).astype(np.int64)
-    if y.min() == y.max():  # force both classes so every loss is exercised
-        y[0] = 1 - y[0]
-    anchors = rng.uniform(0.05, 0.95, gc.batch_rows)
-
-    checks = [
-        (LossSpec(kind="bce"), None),
-        (LossSpec(kind="dice"), None),
-        (LossSpec(kind="anchored", base="dice", lambda_anchor=1.0), anchors),
-    ]
+def cmd_gradcheck(_args: argparse.Namespace) -> int:
     ok = True
-    for spec, anchor_vec in checks:
-        report = gradient_check(
-            model, X, y, spec, anchors=anchor_vec, h=gc.h, tol=gc.tolerance
-        )
+    for report in self_check():
         print(report.format())
         print()
         ok = ok and report.passed
@@ -353,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override all seeds")
-    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("print-default-config", help="emit the full default config")

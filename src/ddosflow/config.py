@@ -20,7 +20,6 @@ from .trainer import TrainConfig
 
 __all__ = [
     "DataConfig",
-    "GradCheckConfig",
     "PipelineConfig",
     "default_config",
     "config_to_dict",
@@ -33,36 +32,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GradCheckConfig:
-    """Shape and tolerances of the self-check model."""
-
-    h: float = 1e-5
-    tolerance: float = 1e-4
-    batch_rows: int = 6
-    n_features: int = 8
-    input_width: int = 8
-    block_widths: tuple[int, ...] = (8, 8)
-    seed: int = 4
-
-    def __post_init__(self) -> None:
-        if self.h <= 0 or self.tolerance <= 0:
-            raise ValueError("h and tolerance must be positive")
-        if self.batch_rows < 2:
-            raise ValueError("batch_rows must be >= 2")
-        if self.n_features < 1 or self.input_width < 1:
-            raise ValueError("widths must be positive")
-        if not self.block_widths or any(w < 1 for w in self.block_widths):
-            raise ValueError("block_widths must be positive")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     data: DataConfig
     split: SplitConfig
     smote: SmoteConfig
     architecture: ArchitectureConfig
     train: TrainConfig
-    gradcheck: GradCheckConfig
 
 
 _SECTIONS: dict[str, type] = {
@@ -71,7 +46,6 @@ _SECTIONS: dict[str, type] = {
     "smote": SmoteConfig,
     "architecture": ArchitectureConfig,
     "train": TrainConfig,
-    "gradcheck": GradCheckConfig,
 }
 
 
@@ -131,12 +105,11 @@ def load_config(path: str) -> PipelineConfig:
 
 
 def with_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    """Re-seed every stage from one master seed (split, SMOTE, init, train, check)."""
+    """Re-seed every stage from one master seed (split, SMOTE, init, train)."""
     return dataclasses.replace(
         cfg,
         split=dataclasses.replace(cfg.split, seed=seed),
         smote=dataclasses.replace(cfg.smote, seed=seed + 1),
         architecture=dataclasses.replace(cfg.architecture, init_seed=seed + 2),
         train=dataclasses.replace(cfg.train, seed=seed + 3),
-        gradcheck=dataclasses.replace(cfg.gradcheck, seed=seed + 4),
     )

@@ -7,7 +7,8 @@ versus numeric ``n`` is ``|a - n| / max(|a|, |n|, 1e-8)``.
 
 The model is evaluated in inference mode so batch-norm running-statistic
 updates stay out of the differentiated computation. Intended for
-desk-scale models (up to ~1e4 parameters).
+desk-scale models (up to ~1e4 parameters). :func:`self_check` is the
+fixed check that ``ddosflow gradcheck`` runs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec
-from .model import ModelParams, model_loss, named_parameters
+from .model import ArchitectureConfig, ModelParams, init_model, model_loss, named_parameters
 
-__all__ = ["GradCheckReport", "gradient_check"]
+__all__ = ["GradCheckReport", "gradient_check", "self_check"]
 
 _REL_FLOOR = 1e-8
 
@@ -93,3 +94,21 @@ def gradient_check(
     return GradCheckReport(
         loss_kind=spec.kind, per_tensor=per_tensor, max_rel_error=max_rel, h=h, tol=tol
     )
+
+
+def self_check() -> list[GradCheckReport]:
+    """One report per loss (BCE, Dice, and Dice with the anchor penalty) for
+    one fixed network: 8 features, input width 8, blocks (8, 8) and init
+    seed 4, on six rows, their labels and anchors drawn from ``PCG64(5)``,
+    at the default ``h`` and ``tol``. The labels hold both classes."""
+    model = init_model(8, ArchitectureConfig(input_width=8, block_widths=(8, 8), init_seed=4))
+    rng = np.random.Generator(np.random.PCG64(5))
+    X = rng.standard_normal((6, 8))
+    y = rng.integers(0, 2, 6).astype(np.int64)
+    anchors = rng.uniform(0.05, 0.95, 6)
+    checks = [
+        (LossSpec(kind="bce"), None),
+        (LossSpec(kind="dice"), None),
+        (LossSpec(kind="anchored", base="dice", lambda_anchor=1.0), anchors),
+    ]
+    return [gradient_check(model, X, y, spec, anchors=a) for spec, a in checks]

@@ -70,6 +70,8 @@ class ArchitectureConfig:
             raise ValueError("at least one residual block is required")
         if not (self.bn_eps > 0.0 and 0.0 <= self.bn_momentum < 1.0):
             raise ValueError("bn_eps must be positive and bn_momentum in [0, 1)")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
 
 @dataclass(eq=False)

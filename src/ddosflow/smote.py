@@ -44,6 +44,8 @@ class SmoteConfig:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:
             raise ValueError("target_ratio must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class SmoteProvenance(NamedTuple):

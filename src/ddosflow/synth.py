@@ -9,6 +9,7 @@ a correct pipeline must reach near-perfect test metrics on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,12 @@ class SyntheticSpec:
             raise ValueError("n_minority must be >= 2")
         if self.n_features < 1:
             raise ValueError("n_features must be >= 1")
-        if self.separation <= 0:
-            raise ValueError("separation must be positive")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
+        if not (math.isfinite(self.separation) and self.separation > 0):
+            raise ValueError("separation must be finite and positive")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
+            raise ValueError("noise_scale must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def make_synthetic(spec: SyntheticSpec) -> FlowDataset:
@@ -51,9 +54,12 @@ def make_synthetic(spec: SyntheticSpec) -> FlowDataset:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     d = spec.n_features
     offset = np.full(d, spec.separation * spec.noise_scale / np.sqrt(d))
-    benign = rng.normal(0.0, spec.noise_scale, size=(spec.n_majority, d))
-    attack = rng.normal(0.0, spec.noise_scale, size=(spec.n_minority, d)) + offset
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        benign = rng.normal(0.0, spec.noise_scale, size=(spec.n_majority, d))
+        attack = rng.normal(0.0, spec.noise_scale, size=(spec.n_minority, d)) + offset
     features = np.ascontiguousarray(np.vstack([benign, attack]))
+    if not np.isfinite(features).all():
+        raise ValueError("separation and noise_scale draw rows that overflow float64")
     labels = np.concatenate(
         [
             np.zeros(spec.n_majority, dtype=np.int64),

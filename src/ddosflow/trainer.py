@@ -83,6 +83,8 @@ class TrainConfig:
             raise ValueError(f"loss_phase2_base must be one of {BASE_LOSSES}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

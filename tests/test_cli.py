@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import ddosflow
+from ddosflow import cli
 from ddosflow.cli import _stage, main
 from ddosflow.config import DataConfig, default_config, dumps_config, loads_config
 from ddosflow.flow_data import load_feature_matrix
@@ -98,6 +100,29 @@ def test_synth_writes_deterministic_csv(tmp_path, capsys):
     header = Path(a).read_text().splitlines()[0].strip().split(",")
     assert header[-1] == "Label"
     assert len(header) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "-1"], "error: seed must be >= 0"),
+        (["--separation", "nan"], "error: separation must be finite and positive"),
+        (["--separation", "inf"], "error: separation must be finite and positive"),
+        (["--noise-scale", "inf"], "error: noise_scale must be finite and positive"),
+        (["--noise-scale", "1e308"], "error: separation and noise_scale draw rows that overflow float64"),
+    ],
+    ids=["seed-negative", "separation-nan", "separation-inf", "noise-inf", "noise-overflows"],
+)
+def test_synth_refuses_a_spec_that_draws_no_finite_rows(tmp_path, capsys, argv, message):
+    """A negative seed, or a separation or noise scale that is not finite or
+    draws rows that overflow, exits 1 before the file is written; no NumPy
+    warning escapes, as pytest makes each one an error."""
+    out = tmp_path / "flows.csv"
+    assert main(["synth", "--out", str(out), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ train
@@ -289,6 +314,27 @@ def test_training_that_diverges_stops_before_writing_a_model(tmp_path, capsys, t
     assert not (outdir / "train_report.csv").exists()
 
 
+def test_train_refuses_the_removed_gradcheck_section(tmp_path, capsys):
+    """The gradient self-check runs one fixed network, so a config that
+    names its old section fails before any data is read."""
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gradcheck": {"tolerance": 1e-4}}))
+    rc, outdir = run_train(tmp_path, data, config=str(config))
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {config}: unknown config section 'gradcheck'\n"
+    assert not outdir.exists()
+
+
+def test_train_takes_a_seed_beyond_64_bits(tmp_path):
+    data = make_data(tmp_path)
+    config = write_fast_config(tmp_path, split={"seed": 2**128 + 1})
+    rc, outdir = run_train(tmp_path, data, config=config)
+    assert rc == 0
+    assert (outdir / "model.txt").exists()
+
+
 def test_train_unparseable_config(tmp_path, capsys):
     data = make_data(tmp_path)
     bad = tmp_path / "bad.json"
@@ -309,18 +355,24 @@ def test_train_unparseable_config(tmp_path, capsys):
         ({"architecture": {"bn_momentum": 7.0}}, "bn_momentum in [0, 1)"),
         ({"architecture": {"bn_momentum": 1.0}}, "bn_momentum in [0, 1)"),
         ({"train": {"batch_size": 1}}, "train: batch_size must be >= 2"),
+        ({"split": {"seed": -1}}, "split: seed must be >= 0"),
+        ({"smote": {"seed": -5}}, "smote: seed must be >= 0"),
+        ({"architecture": {"init_seed": -1}}, "architecture: init_seed must be >= 0"),
+        ({"train": {"seed": -2}}, "train: seed must be >= 0"),
     ],
     ids=["eta-nan", "lambda-inf", "ratio-minus-inf", "eps-negative", "eps-zero",
-         "momentum-7", "momentum-1", "batch-size-1"],
+         "momentum-7", "momentum-1", "batch-size-1", "split-seed", "smote-seed",
+         "init-seed", "train-seed"],
 )
 def test_train_rejects_a_bad_number_before_reading_data(tmp_path, capsys, doc, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))  # writes the JSON extensions NaN and Infinity
     # the data file does not exist: reading it would exit 2, not 1
-    rc, _ = run_train(tmp_path, str(tmp_path / "absent.csv"), config=str(cfg))
+    rc, outdir = run_train(tmp_path, str(tmp_path / "absent.csv"), config=str(cfg))
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
+    assert not outdir.exists()
 
 
 def test_train_creates_the_model_files_directory(tmp_path):
@@ -955,21 +1007,33 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     assert out.count("[PASS]") == 3  # one verdict per loss
 
 
-def test_gradcheck_fails_at_impossible_tolerance(capsys):
-    assert main(["gradcheck", "--tolerance", "1e-12"]) == 3
+def test_gradcheck_fails_at_impossible_tolerance(monkeypatch, capsys):
+    """The command exits 3 when a report fails, here the fixed check's own
+    reports judged at a tolerance no float gradient meets."""
+    reports = [dataclasses.replace(r, tol=1e-300) for r in cli.self_check()]
+    monkeypatch.setattr(cli, "self_check", lambda: reports)
+    assert main(["gradcheck"]) == 3
     captured = capsys.readouterr()
-    assert "FAILED" in captured.err
+    assert captured.err == "gradient check FAILED\n"
+    assert captured.out.count("[FAIL]") == 3
+
+
+def test_gradcheck_takes_no_options():
+    """The self-check runs one fixed network, so the options that once
+    reshaped it are usage errors."""
+    for argv in (["--tolerance", "1e-4"], ["--seed", "1"], ["--config", "c.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *argv])
+        assert exc.value.code == 1
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["gradcheck", "--tolerance", "nan"], "gradcheck.tolerance: expected a finite number"),
-        (["gradcheck", "--tolerance", "inf"], "gradcheck.tolerance: expected a finite number"),
-        (["gradcheck", "--tolerance", "0"], "gradcheck: h and tolerance must be positive"),
         (["train", "--data", "absent.csv", "--out", "o", "--threshold", "nan"], "train.threshold: expected a finite number"),
+        (["train", "--data", "absent.csv", "--out", "o", "--seed", "-1"], "--seed -1: seed must be >= 0"),
     ],
-    ids=["tolerance-nan", "tolerance-inf", "tolerance-zero", "threshold-nan"],
+    ids=["threshold-nan", "seed-negative"],
 )
 def test_command_line_overrides_are_checked_as_config_values(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -990,8 +1054,3 @@ def test_a_scoring_threshold_override_is_checked_as_a_config_value(trained, tmp_
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
-
-def test_gradcheck_honors_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gradcheck": {"batch_rows": 4, "block_widths": [6]}}))
-    assert main(["gradcheck", "--config", str(cfg)]) == 0

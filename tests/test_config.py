@@ -21,7 +21,7 @@ def test_defaults_round_trip_through_json():
     text = dumps_config(cfg)
     assert loads_config(text) == cfg
     doc = json.loads(text)
-    assert set(doc) == {"data", "split", "smote", "architecture", "train", "gradcheck"}
+    assert set(doc) == {"data", "split", "smote", "architecture", "train"}
 
 
 def test_empty_document_gives_defaults():
@@ -34,7 +34,6 @@ def test_default_stage_seeds_are_distinct():
     assert cfg.smote.seed == 1
     assert cfg.architecture.init_seed == 2
     assert cfg.train.seed == 3
-    assert cfg.gradcheck.seed == 4
     assert cfg == with_seed(default_config(), 0)
 
 
@@ -112,7 +111,6 @@ def test_with_seed_rederives_every_stage():
     assert cfg.smote.seed == 101
     assert cfg.architecture.init_seed == 102
     assert cfg.train.seed == 103
-    assert cfg.gradcheck.seed == 104
     # everything that is not a seed is untouched
     assert cfg.train.epochs_phase1 == default_config().train.epochs_phase1
     assert cfg.architecture.block_widths == default_config().architecture.block_widths

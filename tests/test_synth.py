@@ -64,6 +64,10 @@ def test_spec_validation():
         SyntheticSpec(separation=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise_scale=-1.0)
+    for field, value in [("separation", float("nan")), ("separation", float("inf")),
+                         ("noise_scale", float("nan")), ("noise_scale", float("inf")), ("seed", -1)]:
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
 
 
 def test_csv_round_trip(tmp_path):
