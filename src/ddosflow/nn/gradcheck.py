@@ -17,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec
-from .model import ArchitectureConfig, ModelParams, init_model, model_loss, named_parameters
+from .losses import LossSpec, apply_loss
+from .model import (
+    ArchitectureConfig,
+    ModelParams,
+    init_model,
+    model_forward,
+    model_loss,
+    named_parameters,
+)
 
 __all__ = ["GradCheckReport", "gradient_check", "self_check"]
 
@@ -64,10 +71,8 @@ def gradient_check(
     """
 
     def loss_value() -> float:
-        value, _ = model_loss(
-            model, X, y, spec, mode="infer", anchors=anchors, want_grads=False
-        )
-        return value
+        logits, _ = model_forward(model, X, mode="infer")
+        return apply_loss(logits, y, spec, anchors=anchors)[0]
 
     _, grads = model_loss(model, X, y, spec, mode="infer", anchors=anchors)
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BN_EPS",
+    "BN_MOMENTUM",
     "Workspace",
     "AffineParams",
     "BatchNormParams",
@@ -134,12 +136,16 @@ class AffineParams:
     b: np.ndarray
 
 
+BN_EPS = 1e-5  # added to the variance under the square root
+BN_MOMENTUM = 0.9  # the fraction of the old running value kept per batch
+
+
 @dataclass(eq=False)
 class BatchNormParams:
     """Per-channel scale/shift plus running statistics for inference.
 
-    ``momentum`` is the fraction of the old running value kept per batch:
-    ``running = momentum * running + (1 - momentum) * batch_stat``.
+    Each training batch updates the running statistics as
+    ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat``.
     Batch and running variance are both population variance (divisor n).
     """
 
@@ -147,8 +153,6 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps_bn: float = 1e-5
 
 
 @dataclass(eq=False)
@@ -275,15 +279,15 @@ def batchnorm_forward(
         squares = np.multiply(centred, centred, out=xhat)
         var = np.sum(squares, axis=0, out=ws.get(p, "var", w))
         var /= m
-        np.add(var, p.eps_bn, out=inv)
+        np.add(var, BN_EPS, out=inv)
         step = ws.get(p, "step", w)
-        p.running_mean *= p.momentum
-        p.running_mean += np.multiply(mean, 1.0 - p.momentum, out=step)
-        p.running_var *= p.momentum
-        p.running_var += np.multiply(var, 1.0 - p.momentum, out=step)
+        p.running_mean *= BN_MOMENTUM
+        p.running_mean += np.multiply(mean, 1.0 - BN_MOMENTUM, out=step)
+        p.running_var *= BN_MOMENTUM
+        p.running_var += np.multiply(var, 1.0 - BN_MOMENTUM, out=step)
     elif mode == "infer":
         centred = np.subtract(x, p.running_mean, out=out)
-        np.add(p.running_var, p.eps_bn, out=inv)
+        np.add(p.running_var, BN_EPS, out=inv)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     np.divide(1.0, np.sqrt(inv, out=inv), out=inv)

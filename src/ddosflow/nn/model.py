@@ -60,16 +60,12 @@ class ArchitectureConfig:
     input_width: int = 64
     block_widths: tuple[int, ...] = (64, 64, 64)
     init_seed: int = 0
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     def __post_init__(self) -> None:
         if self.input_width < 1 or any(w < 1 for w in self.block_widths):
             raise ValueError("widths must be positive")
         if len(self.block_widths) < 1:
             raise ValueError("at least one residual block is required")
-        if not (self.bn_eps > 0.0 and 0.0 <= self.bn_momentum < 1.0):
-            raise ValueError("bn_eps must be positive and bn_momentum in [0, 1)")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
 
@@ -91,14 +87,12 @@ def _zeros_affine(n_out: int, n_in: int) -> AffineParams:
     return AffineParams(W=np.zeros((n_out, n_in)), b=np.zeros(n_out))
 
 
-def _zeros_bn(width: int, arch: ArchitectureConfig) -> BatchNormParams:
+def _zeros_bn(width: int) -> BatchNormParams:
     return BatchNormParams(
         gamma=np.ones(width),
         beta=np.zeros(width),
         running_mean=np.zeros(width),
         running_var=np.ones(width),
-        momentum=arch.bn_momentum,
-        eps_bn=arch.bn_eps,
     )
 
 
@@ -111,9 +105,9 @@ def _alloc_model(n_features: int, arch: ArchitectureConfig) -> ModelParams:
         blocks.append(
             ResidualBlockParams(
                 affine1=_zeros_affine(out_width, in_width),
-                bn1=_zeros_bn(out_width, arch),
+                bn1=_zeros_bn(out_width),
                 affine2=_zeros_affine(out_width, out_width),
-                bn2=_zeros_bn(out_width, arch),
+                bn2=_zeros_bn(out_width),
                 projection=projection,
             )
         )
@@ -291,15 +285,12 @@ def model_loss(
     spec: LossSpec,
     mode: str = "train",
     anchors: np.ndarray | None = None,
-    want_grads: bool = True,
     ws: Workspace | None = None,
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Forward plus objective, optionally with parameter gradients.
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Forward plus objective, with parameter gradients.
 
     The gradients belong to the caller unless ``ws`` is given; then, as
     with :func:`model_backward`, they are views into its buffers."""
-    logits, cache = model_forward(model, X, mode=mode, want_cache=want_grads, ws=ws)
+    logits, cache = model_forward(model, X, mode=mode, want_cache=True, ws=ws)
     loss, dlogits = apply_loss(logits, y, spec, anchors=anchors)
-    if not want_grads:
-        return loss, None
     return loss, model_backward(model, cache, dlogits, ws)

@@ -1,11 +1,13 @@
 """Dual-phase training loop and the detection-side helpers.
 
-Phase 1 trains on the original (imbalanced, scaled) flows with a plain
-loss. Its frozen predictions on the oversampled set become anchors, and
-phase 2 trains on the oversampled set with an anchor penalty that pulls
-predictions back toward the phase-1 values. Phase 2 continues phase 1's
-shuffle stream with a fresh Adagrad accumulator, so a zero-penalty phase 2
-is a plain run with a fresh accumulator on the continued shuffle stream.
+Phase 1 minimizes binary cross-entropy on the original (imbalanced,
+scaled) flows. Its frozen predictions on the oversampled set become
+anchors, and phase 2 minimizes soft Dice on the oversampled set plus an
+anchor penalty that pulls predictions back toward the phase-1 values. The
+two losses are fixed choices of the method, not config values. Phase 2
+continues phase 1's shuffle stream with a fresh Adagrad accumulator, so a
+zero-penalty phase 2 is a plain Dice run with a fresh accumulator on the
+continued shuffle stream.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .nn import (
     named_parameters,
     sigmoid,
 )
-from .nn.losses import BASE_LOSSES
 from .nn.model import named_state
 
 __all__ = [
@@ -52,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for both phases.
+    """Hyperparameters for both phases; their losses (BCE, then Dice plus
+    the anchor penalty) are fixed.
 
     The anchor penalty is a raw per-batch sum, so lambda_anchor's
     effective strength grows with batch_size.
@@ -63,8 +65,6 @@ class TrainConfig:
     batch_size: int = 256
     eta: float = 0.01
     lambda_anchor: float = 0.1
-    loss_phase1: str = "bce"
-    loss_phase2_base: str = "dice"
     threshold: float = 0.5
     seed: int = 0
 
@@ -77,10 +77,6 @@ class TrainConfig:
             raise ValueError("eta must be positive")
         if self.lambda_anchor < 0:
             raise ValueError("lambda_anchor must be >= 0")
-        if self.loss_phase1 not in BASE_LOSSES:
-            raise ValueError(f"loss_phase1 must be one of {BASE_LOSSES}")
-        if self.loss_phase2_base not in BASE_LOSSES:
-            raise ValueError(f"loss_phase2_base must be one of {BASE_LOSSES}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         if self.seed < 0:
@@ -354,13 +350,13 @@ def train_phase1(
     opt: OptimizerState | None = None,
     ws: Workspace | None = None,
 ) -> tuple[ModelParams, TrainReport]:
-    """Mini-batch Adagrad on the original scaled flows.
+    """Mini-batch Adagrad minimizing BCE on the original scaled flows.
 
     The model is updated in place and also returned. Passing rng/opt
     lets a caller keep one shuffle stream and accumulator across phases,
     and ``ws`` one set of buffers.
     """
-    spec = LossSpec(kind=cfg.loss_phase1)
+    spec = LossSpec(kind="bce")
     return _run_epochs(model, dataset, spec, cfg, cfg.epochs_phase1, 1, rng, opt, ws=ws)
 
 
@@ -382,7 +378,8 @@ def train_phase2(
     opt: OptimizerState | None = None,
     ws: Workspace | None = None,
 ) -> tuple[ModelParams, TrainReport]:
-    """Anchored refinement on the oversampled flows.
+    """Anchored refinement on the oversampled flows: Dice plus
+    ``cfg.lambda_anchor`` times the squared drift from the anchors.
 
     Each batch's penalty uses that batch's slice of the anchor vector.
     ``ws`` is as in :func:`train_phase1`.
@@ -393,11 +390,7 @@ def train_phase2(
             f"anchor length {anchors.shape} does not match "
             f"{balanced.n_rows} dataset rows"
         )
-    spec = LossSpec(
-        kind="anchored",
-        base=cfg.loss_phase2_base,
-        lambda_anchor=cfg.lambda_anchor,
-    )
+    spec = LossSpec(kind="anchored", base="dice", lambda_anchor=cfg.lambda_anchor)
     return _run_epochs(
         model, balanced, spec, cfg, cfg.epochs_phase2, 2, rng, opt, anchors, ws
     )

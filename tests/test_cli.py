@@ -182,7 +182,7 @@ PINNED_ARTIFACTS = {
     "default": (
         {},
         {
-            "model.txt": "64a18a84bb312416024a57ec600d4bbee80b483558e82a2304e5c5ac639ca1d9",
+            "model.txt": "0fd14084bfa3125d48e821a68fab1d9a7171afa96265b9d07e3578f0cc652c1a",
             "train_report.csv": "1932924986db565a678a113786fcdd85d1cc421ce73777120d51e30151be4657",
             "eval_report.txt": "b20b79b9263738ac150647bc9794b650cf78f92477eb46fd7ea4995f3117e4ed",
             "eval_report.kv": "a020ade51020d616d0b659a88697f087eb8a17c690bb0b7010213186a3642388",
@@ -194,7 +194,7 @@ PINNED_ARTIFACTS = {
     "projection": (
         {"architecture": {"block_widths": [8, 6]}},
         {
-            "model.txt": "b9be51e84bea467cb022a5bfc9c648497dddcc6bf340e785e84292f12386d72f",
+            "model.txt": "ab32f4d9a0c4f054ae07456dc7db24bb82137275cd0478ec0fac8e8ca5de1504",
             "train_report.csv": "9a173ab85478f076be3b779707c8d4037c5683716d88d13f5911c5c545050441",
             "eval_report.txt": "d618dfa9fdcc9e56faf19b554c7c09e7cf2a7522055da346a52103988b7a6a47",
             "eval_report.kv": "48a2c43a3b869c3d527a45a93bf9f5951c0f280811b3d87226bca15a70fe9764",
@@ -272,25 +272,35 @@ def test_train_invalid_config(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_train_refuses_the_removed_attention_switch(tmp_path, capsys):
-    data = make_data(tmp_path)
-    config = write_fast_config(tmp_path, architecture={"attention_after_each": False})
-    rc, _ = run_train(tmp_path, data, config=config)
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"architecture": {"attention_after_each": False}}, "unknown config key architecture.'attention_after_each'"),
+        ({"architecture": {"bn_eps": 1e-5}}, "unknown config key architecture.'bn_eps'"),
+        ({"architecture": {"bn_momentum": 0.9}}, "unknown config key architecture.'bn_momentum'"),
+        ({"train": {"eps_dice": 1.0}}, "unknown config key train.'eps_dice'"),
+        ({"train": {"eps_opt": 1e-10}}, "unknown config key train.'eps_opt'"),
+        ({"train": {"reset_optimizer_phase2": True}}, "unknown config key train.'reset_optimizer_phase2'"),
+        ({"train": {"loss_phase1": "bce"}}, "unknown config key train.'loss_phase1'"),
+        ({"train": {"loss_phase2_base": "dice"}}, "unknown config key train.'loss_phase2_base'"),
+        ({"gradcheck": {"tolerance": 1e-4}}, "unknown config section 'gradcheck'"),
+    ],
+    ids=["attention_after_each", "bn_eps", "bn_momentum", "eps_dice", "eps_opt",
+         "reset_optimizer_phase2", "loss_phase1", "loss_phase2_base", "gradcheck"],
+)
+def test_train_refuses_a_removed_config_key(tmp_path, capsys, doc, message):
+    """The model owns its one attention layer; batch norm's epsilon and
+    momentum, the Dice and Adagrad smoothing terms and both phase losses
+    are constants; phase 2 always starts a fresh accumulator; and the
+    gradient self-check runs one fixed network. So a config that names one
+    of the old keys, even at its old default, fails before any data is
+    read."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    # the data file does not exist: reading it would exit 2, not 1
+    rc, outdir = run_train(tmp_path, str(tmp_path / "absent.csv"), config=str(config))
     assert rc == 1
-    assert "unknown config key architecture.'attention_after_each'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value", [("eps_dice", 1.0), ("eps_opt", 1e-10), ("reset_optimizer_phase2", True)])
-def test_train_refuses_the_removed_smoothing_and_reset_keys(tmp_path, capsys, key, value):
-    """The Dice and Adagrad smoothing terms are constants and phase 2 always
-    starts a fresh accumulator, so a config that names one of the old keys,
-    even at its old default, fails before any data is read."""
-    data = make_data(tmp_path)
-    config = write_fast_config(tmp_path, train={key: value})
-    rc, outdir = run_train(tmp_path, data, config=config)
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and f"unknown config key train.{key!r}" in err, err
+    assert capsys.readouterr().err == f"config error: {config}: {message}\n"
     assert not outdir.exists()
 
 
@@ -312,19 +322,6 @@ def test_training_that_diverges_stops_before_writing_a_model(tmp_path, capsys, t
     assert re.fullmatch(rf"error: train: training diverged in {where}: non-finite \w+ \(.+\)\n", err), err
     assert not (outdir / "model.txt").exists()
     assert not (outdir / "train_report.csv").exists()
-
-
-def test_train_refuses_the_removed_gradcheck_section(tmp_path, capsys):
-    """The gradient self-check runs one fixed network, so a config that
-    names its old section fails before any data is read."""
-    data = make_data(tmp_path)
-    capsys.readouterr()
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"gradcheck": {"tolerance": 1e-4}}))
-    rc, outdir = run_train(tmp_path, data, config=str(config))
-    assert rc == 1
-    assert capsys.readouterr().err == f"config error: {config}: unknown config section 'gradcheck'\n"
-    assert not outdir.exists()
 
 
 def test_train_takes_a_seed_beyond_64_bits(tmp_path):
@@ -350,19 +347,14 @@ def test_train_unparseable_config(tmp_path, capsys):
         ({"train": {"eta": float("nan")}}, "train.eta: expected a finite number, got nan"),
         ({"train": {"lambda_anchor": float("inf")}}, "train.lambda_anchor: expected a finite"),
         ({"smote": {"target_ratio": float("-inf")}}, "smote.target_ratio: expected a finite"),
-        ({"architecture": {"bn_eps": -1.0}}, "architecture: bn_eps must be positive"),
-        ({"architecture": {"bn_eps": 0.0}}, "architecture: bn_eps must be positive"),
-        ({"architecture": {"bn_momentum": 7.0}}, "bn_momentum in [0, 1)"),
-        ({"architecture": {"bn_momentum": 1.0}}, "bn_momentum in [0, 1)"),
         ({"train": {"batch_size": 1}}, "train: batch_size must be >= 2"),
         ({"split": {"seed": -1}}, "split: seed must be >= 0"),
         ({"smote": {"seed": -5}}, "smote: seed must be >= 0"),
         ({"architecture": {"init_seed": -1}}, "architecture: init_seed must be >= 0"),
         ({"train": {"seed": -2}}, "train: seed must be >= 0"),
     ],
-    ids=["eta-nan", "lambda-inf", "ratio-minus-inf", "eps-negative", "eps-zero",
-         "momentum-7", "momentum-1", "batch-size-1", "split-seed", "smote-seed",
-         "init-seed", "train-seed"],
+    ids=["eta-nan", "lambda-inf", "ratio-minus-inf", "batch-size-1", "split-seed",
+         "smote-seed", "init-seed", "train-seed"],
 )
 def test_train_rejects_a_bad_number_before_reading_data(tmp_path, capsys, doc, message):
     cfg = tmp_path / "config.json"
@@ -647,20 +639,20 @@ def _put(key, value, section=None):
         (lambda manifest: list(manifest), "manifest is not a JSON object"),
         (_drop("architecture"), "manifest lacks 'architecture'"),
         (_drop("n_features"), "manifest lacks 'n_features'"),
-        (_drop("bn_eps", "architecture"), "manifest rejected: architecture lacks 'bn_eps'"),
+        (_drop("init_seed", "architecture"), "manifest rejected: architecture lacks 'init_seed'"),
         (_drop("block_widths", "architecture"), "manifest rejected: architecture lacks 'block_widths'"),
         (_put("bogus", 1, "architecture"), "manifest rejected: .*bogus"),
         (_put("input_width", 64.0, "architecture"), "manifest rejected: architecture.input_width: expected an integer"),
         (_put("block_widths", [64, 64.0, 64], "architecture"), "manifest rejected: architecture.block_widths: expected a list of integers"),
-        (_put("bn_eps", True, "architecture"), "manifest rejected: architecture.bn_eps: expected a number"),
+        (_put("init_seed", True, "architecture"), "manifest rejected: architecture.init_seed: expected an integer"),
         (_put("n_features", 8.5), "manifest rejected: n_features: expected an integer"),
         (_put("n_features", "8"), "manifest rejected: n_features: expected an integer"),
         (_put("n_features", -3), "manifest rejected: n_features: expected an integer of at least 1, got -3"),
     ],
     ids=[
         "not-an-object", "no-architecture", "no-n_features",
-        "architecture-no-bn_eps", "architecture-no-block_widths", "unknown-architecture-key",
-        "input_width-float", "block_widths-float", "bn_eps-bool",
+        "architecture-no-init_seed", "architecture-no-block_widths", "unknown-architecture-key",
+        "input_width-float", "block_widths-float", "init_seed-bool",
         "n_features-fraction", "n_features-string", "n_features-negative",
     ],
 )
@@ -772,26 +764,32 @@ def test_scoring_model_without_a_label_entry_is_a_data_error_naming_it(trained, 
             assert f"data error: load-model: {bad}: model file lacks manifest entry {key!r}" in err, err
 
 
-def test_scoring_a_version_1_model_file_is_refused(trained, tmp_path, capsys):
-    """A file in the format before the model owned its attention layer (the
-    manifest's ``attention_after_each``, the layer's tensors named as the
-    last block's) stops on its first line."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_scoring_an_old_format_model_file_is_refused(trained, tmp_path, capsys, version):
+    """A file in a format before batch norm's epsilon and momentum became
+    constants (version 2, whose manifest holds ``bn_eps`` and
+    ``bn_momentum``), or also before the model owned its attention layer
+    (version 1, whose manifest holds ``attention_after_each`` and which
+    names the layer's tensors as the last block's), stops on its first
+    line."""
     data, model = trained
     lines = Path(model).read_text().splitlines()
-    assert lines[0] == "ddosflow-model 2"
+    assert lines[0] == "ddosflow-model 3"
     manifest = json.loads(lines[1][len("manifest "):])
-    manifest["architecture"]["attention_after_each"] = False
-    last = len(manifest["architecture"]["block_widths"]) - 1
-    old = tmp_path / "version_1.txt"
+    manifest["architecture"].update(bn_eps=1e-5, bn_momentum=0.9)
+    tensors = lines[2:]
+    if version == 1:
+        manifest["architecture"]["attention_after_each"] = False
+        last = len(manifest["architecture"]["block_widths"]) - 1
+        tensors = [line.replace("tensor attention.", f"tensor blocks.{last}.attention.") for line in tensors]
+    old = tmp_path / f"version_{version}.txt"
     old.write_text("\n".join([
-        "ddosflow-model 1",
-        "manifest " + json.dumps(manifest, sort_keys=True),
-        *(line.replace("tensor attention.", f"tensor blocks.{last}.attention.") for line in lines[2:]),
+        f"ddosflow-model {version}", "manifest " + json.dumps(manifest, sort_keys=True), *tensors
     ]) + "\n")
     for command in ("evaluate", "predict"):
         assert main([command, "--model", str(old), "--data", data, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"data error: load-model: {old}: unsupported format version 1" in err, err
+        assert f"data error: load-model: {old}: unsupported format version {version}" in err, err
         assert "Traceback" not in err
 
 

@@ -22,6 +22,7 @@ def test_defaults_round_trip_through_json():
     assert loads_config(text) == cfg
     doc = json.loads(text)
     assert set(doc) == {"data", "split", "smote", "architecture", "train"}
+    assert sum(len(section) for section in doc.values()) == 19
 
 
 def test_empty_document_gives_defaults():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddosflow.nn.layers import (
+    BN_EPS,
     AffineParams,
     AttentionParams,
     BatchNormParams,
@@ -19,13 +20,12 @@ from ddosflow.nn.layers import (
 )
 
 
-def _bn(width, gamma=None, beta=None, **kw):
+def _bn(width, gamma=None, beta=None):
     return BatchNormParams(
         gamma=np.ones(width) if gamma is None else np.asarray(gamma, float),
         beta=np.zeros(width) if beta is None else np.asarray(beta, float),
         running_mean=np.zeros(width),
         running_var=np.ones(width),
-        **kw,
     )
 
 
@@ -160,7 +160,7 @@ def test_bn_unknown_mode():
 def test_bn_running_stats_momentum_update():
     rng = np.random.Generator(np.random.PCG64(5))
     x = rng.normal(2.0, 4.0, size=(32, 2))
-    p = _bn(2, momentum=0.9)
+    p = _bn(2)
     p.running_mean[:] = [10.0, 20.0]
     p.running_var[:] = [4.0, 9.0]
     batchnorm_forward(p, x, "train")
@@ -267,7 +267,7 @@ def straight_line_block(p, x, mode):
             var = ((v - m) ** 2).mean(axis=0)
         else:
             m, var = q.running_mean, q.running_var
-        return q.gamma * (v - m) / np.sqrt(var + q.eps_bn) + q.beta
+        return q.gamma * (v - m) / np.sqrt(var + BN_EPS) + q.beta
 
     a1 = x @ p.affine1.W.T + p.affine1.b
     r1 = np.maximum(bn(p.bn1, a1), 0.0)

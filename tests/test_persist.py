@@ -85,7 +85,6 @@ def test_architecture_flags_survive(tmp_path):
         input_width=4,
         block_widths=(4, 7),
         init_seed=3,
-        bn_momentum=0.8,
     )
     model = init_model(6, arch)
     path = str(tmp_path / "m.txt")

@@ -72,23 +72,16 @@ def test_config_validation():
         TrainConfig(eta=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lambda_anchor=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(loss_phase1="hinge")
     for bound in (0.0, 1.0):
         with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
             TrainConfig(threshold=bound)
 
 
 def test_loss_names_match_loss_spec():
-    # the config accepts exactly the base losses LossSpec accepts
+    # LossSpec takes BCE or Dice, alone or under the anchor penalty
     for name in ("bce", "dice"):
-        TrainConfig(loss_phase1=name, loss_phase2_base=name)
         LossSpec(kind=name, base=name)
-    names = r"\('bce', 'dice'\)$"
-    with pytest.raises(ValueError, match=r"^loss_phase1 must be one of " + names):
-        TrainConfig(loss_phase1="anchored")
-    with pytest.raises(ValueError, match=r"^loss_phase2_base must be one of " + names):
-        TrainConfig(loss_phase2_base="hinge")
+        LossSpec(kind="anchored", base=name)
     with pytest.raises(ValueError, match=r"^unknown loss kind 'hinge'$"):
         LossSpec(kind="hinge")
     with pytest.raises(ValueError, match=r"^unknown base loss 'anchored'$"):
@@ -179,47 +172,37 @@ def test_anchor_length_mismatch_rejected():
 # ------------------------------------------------- zero-penalty reductions
 
 def test_lambda_zero_phase2_equals_plain_training():
-    """With lambda = 0 the anchored objective must collapse to its base
-    loss exactly, so phase 2 reproduces a plain phase-1 run configured
-    with the same loss, seed, and epoch count."""
+    """With lambda = 0 the anchored objective must collapse to Dice
+    exactly, so phase 2 reproduces a plain Dice run with the same seed and
+    epoch count."""
     ds = blob_dataset(64)
-    cfg2 = TrainConfig(epochs_phase2=3, batch_size=16, lambda_anchor=0.0,
-                       loss_phase2_base="bce", seed=3)
-    cfg1 = TrainConfig(epochs_phase1=3, batch_size=16, loss_phase1="bce", seed=3)
+    cfg = TrainConfig(epochs_phase2=3, batch_size=16, lambda_anchor=0.0, seed=3)
     anchored = fresh_model(seed=11)
     plain = fresh_model(seed=11)
-    train_phase2(anchored, ds, np.full(64, 0.5), cfg2)
-    train_phase1(plain, ds, cfg1)
+    train_phase2(anchored, ds, np.full(64, 0.5), cfg)
+    trainer._run_epochs(plain, ds, LossSpec(kind="dice"), cfg, 3, 2, None, None)
     assert_models_bitwise_equal(anchored, plain)
 
 
 def test_dual_phase_degenerates_to_single_run():
-    """Same data in both phases, lambda = 0 and bce in both: the dual run
-    must equal, bitwise, two plain runs that share one shuffle stream, each
-    with a fresh Adagrad accumulator. One run of double length, which keeps
-    its accumulator across the boundary, differs."""
+    """Same data in both phases and lambda = 0: the dual run must equal,
+    bitwise, a BCE phase-1 run followed by a plain Dice run, both on one
+    shuffle stream, each with a fresh Adagrad accumulator. One BCE run of
+    double length, which keeps its accumulator across the boundary and
+    never switches loss, differs."""
     ds = blob_dataset(48)
-    dual_cfg = TrainConfig(
-        epochs_phase1=2,
-        epochs_phase2=2,
-        batch_size=16,
-        lambda_anchor=0.0,
-        loss_phase1="bce",
-        loss_phase2_base="bce",
-        seed=7,
-    )
+    cfg = TrainConfig(epochs_phase1=2, epochs_phase2=2, batch_size=16, lambda_anchor=0.0, seed=7)
     dual = fresh_model(seed=13)
-    run_dual_phase(dual, ds, ds, dual_cfg)
+    run_dual_phase(dual, ds, ds, cfg)
 
     halves = fresh_model(seed=13)
     rng = np.random.Generator(np.random.PCG64(7))
-    half_cfg = TrainConfig(epochs_phase1=2, batch_size=16, loss_phase1="bce", seed=7)
-    for _ in range(2):
-        train_phase1(halves, ds, half_cfg, rng=rng)
+    train_phase1(halves, ds, cfg, rng=rng)
+    trainer._run_epochs(halves, ds, LossSpec(kind="dice"), cfg, 2, 2, rng, None)
     assert_models_bitwise_equal(dual, halves)
 
     single = fresh_model(seed=13)
-    train_phase1(single, ds, TrainConfig(epochs_phase1=4, batch_size=16, loss_phase1="bce", seed=7))
+    train_phase1(single, ds, TrainConfig(epochs_phase1=4, batch_size=16, seed=7))
     assert not np.array_equal(dual.output_affine.W, single.output_affine.W)
 
 

@@ -22,6 +22,8 @@ from ddosflow.nn import (
     named_parameters,
 )
 from ddosflow.nn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
     AttentionParams,
     affine_backward,
     affine_forward,
@@ -46,14 +48,14 @@ def ref_batchnorm_forward(p, x, mode):
     if mode == "train":
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + p.eps_bn)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv
-        p.running_mean *= p.momentum
-        p.running_mean += (1.0 - p.momentum) * mean
-        p.running_var *= p.momentum
-        p.running_var += (1.0 - p.momentum) * var
+        p.running_mean *= BN_MOMENTUM
+        p.running_mean += (1.0 - BN_MOMENTUM) * mean
+        p.running_var *= BN_MOMENTUM
+        p.running_var += (1.0 - BN_MOMENTUM) * var
     else:
-        inv = 1.0 / np.sqrt(p.running_var + p.eps_bn)
+        inv = 1.0 / np.sqrt(p.running_var + BN_EPS)
         xhat = (x - p.running_mean) * inv
     return p.gamma * xhat + p.beta, {"mode": mode, "xhat": xhat, "inv": inv}
 
